@@ -20,12 +20,13 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .classic import Method
-from .core import AssetSpec, DiscountRate, check_age, delayed_present_cost, intrinsic_value, present_cost
+from .core import AssetSpec, DiscountRate, delayed_present_cost, intrinsic_value, present_cost
 from .errors import InvalidInput
 from .schedule import build_schedule, chord_gap, compare_methods, rate_sweep, trade_surplus
 
@@ -37,17 +38,13 @@ METHOD_TOKENS = {
 }
 
 
-class CliError(Exception):
-    """Validation failure; message names the offending flag. Exit 2."""
+class CliError(InvalidInput):
+    """Validation failure whose message names the offending flag. Exit 2."""
 
 
 def fmt_money(x: float) -> str:
     s = f"{x:.4f}"
     return "0.0000" if s == "-0.0000" else s
-
-
-def _round4(x: float) -> float:
-    return round(x, 4)
 
 
 def _parse_number(token: str, flag: str) -> float:
@@ -75,19 +72,8 @@ def parse_rate(token: str, flag: str) -> DiscountRate:
 
 def parse_asset(cost_token: str, life_token: str) -> AssetSpec:
     cost = _parse_number(cost_token, "--cost")
-    if cost <= 0:
-        raise CliError(f"--cost: must be positive, got {cost_token!r}")
     life = _parse_number(life_token, "--life")
-    if life <= 0:
-        raise CliError(f"--life: must be positive, got {life_token!r}")
     return AssetSpec(cost=cost, lifetime=life)
-
-
-def parse_age(token: str, asset: AssetSpec, flag: str = "--age") -> float:
-    age = _parse_number(token, flag)
-    if age < 0 or age > asset.lifetime:
-        raise CliError(f"{flag}: out of range [0, {asset.lifetime:g}], got {token!r}")
-    return age
 
 
 def _envelope(command: str, payload: dict, deterministic: bool) -> dict:
@@ -103,7 +89,7 @@ def _emit_json(out, command: str, payload: dict, deterministic: bool) -> None:
     out.write("\n")
 
 
-def _emit_csv(out, header: list[str], rows: list[list[str]]) -> None:
+def _emit_csv(out, header: list[str], rows: Iterable[list[str]]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -119,37 +105,68 @@ def _emit_table(out, header: list[str], rows: list[list[str]]) -> None:
         out.write("  ".join(c.rjust(widths[i]) for i, c in enumerate(row)) + "\n")
 
 
+def _render(out, args, command: str, header: list[str], rows: Iterable[Sequence[str | float]],
+            payload: dict, *, labels: list[str] | None = None,
+            errors: list[dict] | None = None) -> None:
+    """Write one command's result in the format --format names.
+
+    header and rows are the table; each row holds strings and money as
+    floats, and is formatted as it is written, so rows may be a generator.
+    payload is what --format json writes. With labels (value, surplus:
+    always one row), --format table prints one line per column, the label
+    and the cell, or the bare cell where the label is empty. errors marks
+    a batch report: its table format is the JSON report, and with CSV its
+    record errors go to stderr, one "id: reason" line each.
+    """
+    if args.format == "json" or (args.format == "table" and errors is not None):
+        _emit_json(out, command, payload, args.deterministic)
+        return
+    cells = ([c if isinstance(c, str) else fmt_money(c) for c in row] for row in rows)
+    if args.format == "csv":
+        _emit_csv(out, header, cells)
+        for err in errors or ():
+            print(f"{err['id']}: {err['reason']}", file=sys.stderr)
+    elif labels is not None:
+        width = max(map(len, labels))
+        for label, cell in zip(labels, next(cells)):
+            out.write(f"{label.ljust(width)}  {cell}\n" if label else f"{cell}\n")
+    else:
+        _emit_table(out, header, list(cells))
+
+
+def _schedule_json(sched) -> list[dict]:
+    return [
+        {
+            "period": r.period,
+            "expense": round(r.expense, 4),
+            "book_value": round(r.book_value, 4),
+        }
+        for r in sched.rows
+    ]
+
+
 # ---------------------------------------------------------------- commands
 
 
 def cmd_value(args, out) -> int:
     asset = parse_asset(args.cost, args.life)
     rate = parse_rate(args.rate, "--rate")
-    age = parse_age(args.age, asset)
-    value = intrinsic_value(asset, rate, age)
+    age = _parse_number(args.age, "--age")
+    value = intrinsic_value(asset, rate, age).amount
     detail = {}
     if args.detail:
-        if rate.rate == 0:
-            raise CliError("--rate: present and delayed cost diverge at rate 0")
         detail = {
             "present_cost": present_cost(asset, rate).amount,
             "delayed_cost": delayed_present_cost(asset, rate, age).amount,
         }
-    if args.format == "json":
-        payload = {
-            "kind": "intrinsic_value",
-            "age": age,
-            "amount": _round4(value.amount),
-        }
-        payload.update({k: _round4(v) for k, v in detail.items()})
-        _emit_json(out, "value", payload, args.deterministic)
-    elif args.format == "csv":
-        header = ["value"] + list(detail)
-        _emit_csv(out, header, [[fmt_money(value.amount)] + [fmt_money(v) for v in detail.values()]])
-    else:
-        out.write(fmt_money(value.amount) + "\n")
-        for name, v in detail.items():
-            out.write(f"{name}  {fmt_money(v)}\n")
+    payload = {
+        "kind": "intrinsic_value",
+        "age": age,
+        "amount": round(value, 4),
+    }
+    payload.update({k: round(v, 4) for k, v in detail.items()})
+    _render(out, args, "value", ["value", *detail], [(value, *detail.values())], payload,
+            labels=["", *detail])
     return 0
 
 
@@ -166,102 +183,63 @@ def cmd_schedule(args, out) -> int:
     asset = parse_asset(args.cost, args.life)
     method = _parse_method(args.method, "--method")
     rate = None
-    if method is Method.INTRINSIC:
-        if args.rate is None:
-            raise CliError("--rate: required for the intrinsic method")
+    if method is Method.INTRINSIC and args.rate is not None:
         rate = parse_rate(args.rate, "--rate")
     sched = build_schedule(asset, method, rate)
-    rows = [
-        [str(r.period), fmt_money(r.expense), fmt_money(r.book_value)]
-        for r in sched.rows
-    ]
-    if args.format == "json":
-        payload = {
-            "method": method.value,
-            "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
-            "rows": [
-                {
-                    "period": r.period,
-                    "expense": _round4(r.expense),
-                    "book_value": _round4(r.book_value),
-                }
-                for r in sched.rows
-            ],
-        }
-        if rate is not None:
-            payload["rate"] = rate.rate
-        _emit_json(out, "schedule", payload, args.deterministic)
-    elif args.format == "csv":
-        _emit_csv(out, ["period", "expense", "book_value"], rows)
-    else:
-        _emit_table(out, ["period", "expense", "book_value"], rows)
+    payload = {
+        "method": method.value,
+        "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
+        "rows": _schedule_json(sched),
+    }
+    if rate is not None:
+        payload["rate"] = rate.rate
+    rows = ((str(r.period), r.expense, r.book_value) for r in sched.rows)
+    _render(out, args, "schedule", ["period", "expense", "book_value"], rows, payload)
     return 0
 
 
 def cmd_compare(args, out) -> int:
     asset = parse_asset(args.cost, args.life)
     tokens = [t.strip() for t in args.methods.split(",") if t.strip()]
-    if not tokens:
-        raise CliError("--methods: at least one method is required")
     methods = [_parse_method(t, "--methods") for t in tokens]
     rate = parse_rate(args.rate, "--rate") if args.rate is not None else None
-    if Method.INTRINSIC in methods and rate is None:
-        raise CliError("--rate: required when comparing the intrinsic method")
     report = compare_methods(asset, methods, rate)
     periods = range(1, len(report.schedules[0].rows) + 1)
-    rows = [
-        [str(n)] + [fmt_money(s.rows[n - 1].book_value) for s in report.schedules]
-        for n in periods
-    ]
-    if args.format == "json":
-        payload = {
-            "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
-            "periods": list(periods),
-            "book_values": {
-                tok: [_round4(r.book_value) for r in s.rows]
-                for tok, s in zip(tokens, report.schedules)
-            },
-        }
-        if rate is not None:
-            payload["rate"] = rate.rate
-        _emit_json(out, "compare", payload, args.deterministic)
-    elif args.format == "csv":
-        _emit_csv(out, ["period"] + tokens, rows)
-    else:
-        _emit_table(out, ["period"] + tokens, rows)
+    payload = {
+        "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
+        "periods": list(periods),
+        "book_values": {
+            tok: [round(r.book_value, 4) for r in s.rows]
+            for tok, s in zip(tokens, report.schedules)
+        },
+    }
+    if rate is not None:
+        payload["rate"] = rate.rate
+    rows = ([str(n)] + [s.rows[n - 1].book_value for s in report.schedules] for n in periods)
+    _render(out, args, "compare", ["period"] + tokens, rows, payload)
     return 0
 
 
 def cmd_sweep(args, out) -> int:
     asset = parse_asset(args.cost, args.life)
     tokens = [t.strip() for t in args.rates.split(",") if t.strip()]
-    if not tokens:
-        raise CliError("--rates: at least one rate is required")
     rates = [parse_rate(t, "--rates") for t in tokens]
     report = rate_sweep(asset, rates)
     gaps = [chord_gap(asset, r) for r in rates]
     ages = range(len(report.values[0]))
-    rows = [
-        [str(a)] + [fmt_money(report.values[i][a]) for i in range(len(rates))]
-        for a in ages
-    ]
-    rows.append(["chord_gap"] + [fmt_money(g) for g in gaps])
-    if args.format == "json":
-        payload = {
-            "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
-            "ages": list(ages),
-            "rates": [r.rate for r in rates],
-            "values": {
-                tok: [_round4(v) for v in report.values[i]]
-                for i, tok in enumerate(tokens)
-            },
-            "chord_gap": {tok: _round4(g) for tok, g in zip(tokens, gaps)},
-        }
-        _emit_json(out, "sweep", payload, args.deterministic)
-    elif args.format == "csv":
-        _emit_csv(out, ["age"] + tokens, rows)
-    else:
-        _emit_table(out, ["age"] + tokens, rows)
+    payload = {
+        "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
+        "ages": list(ages),
+        "rates": [r.rate for r in rates],
+        "values": {
+            tok: [round(v, 4) for v in report.values[i]]
+            for i, tok in enumerate(tokens)
+        },
+        "chord_gap": {tok: round(g, 4) for tok, g in zip(tokens, gaps)},
+    }
+    rows = [[str(a)] + [values[a] for values in report.values] for a in ages]
+    rows.append(["chord_gap"] + gaps)
+    _render(out, args, "sweep", ["age"] + tokens, rows, payload)
     return 0
 
 
@@ -269,30 +247,21 @@ def cmd_surplus(args, out) -> int:
     asset = parse_asset(args.cost, args.life)
     seller = parse_rate(args.seller_rate, "--seller-rate")
     buyer = parse_rate(args.buyer_rate, "--buyer-rate")
-    age = parse_age(args.age, asset)
+    age = _parse_number(args.age, "--age")
     buyer_value = intrinsic_value(asset, buyer, age).amount
     seller_value = intrinsic_value(asset, seller, age).amount
     surplus = trade_surplus(asset, age, seller, buyer)
-    if args.format == "json":
-        payload = {
-            "age": age,
-            "seller_rate": seller.rate,
-            "buyer_rate": buyer.rate,
-            "buyer_value": _round4(buyer_value),
-            "seller_value": _round4(seller_value),
-            "surplus": _round4(surplus),
-        }
-        _emit_json(out, "surplus", payload, args.deterministic)
-    elif args.format == "csv":
-        _emit_csv(
-            out,
-            ["buyer_value", "seller_value", "surplus"],
-            [[fmt_money(buyer_value), fmt_money(seller_value), fmt_money(surplus)]],
-        )
-    else:
-        out.write(f"buyer_value   {fmt_money(buyer_value)}\n")
-        out.write(f"seller_value  {fmt_money(seller_value)}\n")
-        out.write(f"surplus       {fmt_money(surplus)}\n")
+    payload = {
+        "age": age,
+        "seller_rate": seller.rate,
+        "buyer_rate": buyer.rate,
+        "buyer_value": round(buyer_value, 4),
+        "seller_value": round(seller_value, 4),
+        "surplus": round(surplus, 4),
+    }
+    header = ["buyer_value", "seller_value", "surplus"]
+    _render(out, args, "surplus", header, [(buyer_value, seller_value, surplus)], payload,
+            labels=header)
     return 0
 
 
@@ -329,10 +298,6 @@ def _batch_record(record: dict) -> dict:
     """Validate one registry record and compute its value and schedule."""
     cost = _parse_number(str(record.get("cost", "")), "cost")
     lifetime = _parse_number(str(record.get("lifetime", "")), "lifetime")
-    if cost <= 0:
-        raise CliError(f"cost must be positive, got {record.get('cost')!r}")
-    if lifetime <= 0:
-        raise CliError(f"lifetime must be positive, got {record.get('lifetime')!r}")
     asset = AssetSpec(cost=cost, lifetime=lifetime)
     rate = parse_rate(str(record.get("rate", "")), "rate")
     age_token = record.get("age")
@@ -340,28 +305,24 @@ def _batch_record(record: dict) -> dict:
         age = 0.0
     else:
         age = _parse_number(str(age_token), "age")
-        check_age(asset, age)
     value = intrinsic_value(asset, rate, age).amount
     sched = build_schedule(asset, Method.INTRINSIC, rate)
     return {
         "id": record["id"],
         "age": age,
-        "value": _round4(value),
-        "schedule": [
-            {
-                "period": r.period,
-                "expense": _round4(r.expense),
-                "book_value": _round4(r.book_value),
-            }
-            for r in sched.rows
-        ],
+        "value": round(value, 4),
+        "schedule": _schedule_json(sched),
     }
 
 
 def cmd_batch(args, out) -> int:
-    path = Path(args.input)
+    if args.output:  # an unwritable output fails before any record is read
+        try:
+            open(args.output, "a").close()
+        except OSError as exc:
+            raise CliError(f"--output: cannot write {args.output!r} ({exc.strerror or exc})") from None
     try:
-        records = _load_registry(path)
+        records = _load_registry(Path(args.input))
     except OSError as exc:
         raise CliError(f"--input: cannot read {args.input!r} ({exc.strerror or exc})") from None
 
@@ -379,29 +340,18 @@ def cmd_batch(args, out) -> int:
         seen.add(rec_id)
         try:
             entries.append(_batch_record({**record, "id": rec_id}))
-        except (CliError, InvalidInput) as exc:
+        except InvalidInput as exc:
             errors.append({"id": rec_id, "reason": str(exc)})
 
+    rows = (
+        (e["id"], e["value"], str(r["period"]), r["expense"], r["book_value"])
+        for e in entries
+        for r in e["schedule"]
+    )
     sink = open(args.output, "w") if args.output else out
     try:
-        if args.format == "csv":
-            rows = []
-            for e in entries:
-                for r in e["schedule"]:
-                    rows.append(
-                        [
-                            e["id"],
-                            fmt_money(e["value"]),
-                            str(r["period"]),
-                            fmt_money(r["expense"]),
-                            fmt_money(r["book_value"]),
-                        ]
-                    )
-            _emit_csv(sink, ["id", "value", "period", "expense", "book_value"], rows)
-            for err in errors:
-                print(f"{err['id']}: {err['reason']}", file=sys.stderr)
-        else:
-            _emit_json(sink, "batch", {"entries": entries, "errors": errors}, args.deterministic)
+        _render(sink, args, "batch", ["id", "value", "period", "expense", "book_value"], rows,
+                {"entries": entries, "errors": errors}, errors=errors)
     finally:
         if args.output:
             sink.close()
@@ -477,11 +427,9 @@ def main(argv: list[str] | None = None, out: io.TextIOBase | None = None) -> int
     args = parser.parse_args(argv)
     try:
         return args.handler(args, out)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        flag = "--life" if exc.field == "lifetime" else f"--{exc.field}"
+        print(f"error: {flag}: {exc}" if exc.field else f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort guard for exit code 1
         print(f"internal error: {exc}", file=sys.stderr)

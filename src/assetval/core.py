@@ -43,10 +43,13 @@ class AssetSpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.cost) and self.cost > 0):
-            raise InvalidInput(f"cost must be a positive finite number, got {self.cost!r}")
+            raise InvalidInput(
+                f"cost must be a positive finite number, got {self.cost!r}", field="cost"
+            )
         if not (math.isfinite(self.lifetime) and self.lifetime > 0):
             raise InvalidInput(
-                f"lifetime must be a positive finite number, got {self.lifetime!r}"
+                f"lifetime must be a positive finite number, got {self.lifetime!r}",
+                field="lifetime",
             )
 
 
@@ -58,7 +61,9 @@ class DiscountRate:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.rate) or self.rate < 0:
-            raise InvalidInput(f"rate must be a non-negative finite number, got {self.rate!r}")
+            raise InvalidInput(
+                f"rate must be a non-negative finite number, got {self.rate!r}", field="rate"
+            )
 
 
 class ValuationKind(Enum):
@@ -84,7 +89,7 @@ def check_age(asset: AssetSpec, age: float, *, name: str = "age") -> float:
     """Validate 0 <= age <= lifetime, returning the age."""
     if not math.isfinite(age) or age < 0 or age > asset.lifetime:
         raise AgeOutOfRange(
-            f"{name} must lie in [0, {asset.lifetime}], got {age!r}"
+            f"{name} must lie in [0, {asset.lifetime}], got {age!r}", field=name
         )
     return age
 
@@ -92,7 +97,7 @@ def check_age(asset: AssetSpec, age: float, *, name: str = "age") -> float:
 def _require_positive_rate(rate: DiscountRate) -> float:
     if rate.rate == 0:
         raise ZeroRateDivergence(
-            "replacement perpetuity diverges at rate 0 (geometric ratio 1)"
+            "replacement perpetuity diverges at rate 0 (geometric ratio 1)", field="rate"
         )
     return rate.rate
 

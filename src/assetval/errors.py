@@ -1,8 +1,18 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class InvalidInput(ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition.
+
+    `field` names the argument at fault (such as "cost" or "rate"), or is
+    None when no single argument is.
+    """
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class ZeroRateDivergence(InvalidInput):

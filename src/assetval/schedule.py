@@ -18,7 +18,6 @@ from .errors import InvalidInput, MissingRate
 @dataclass(frozen=True)
 class ScheduleRow:
     period: int  # 1-based
-    age_end: float
     expense: float  # <= 0
     book_value: float  # >= 0
 
@@ -63,17 +62,17 @@ def build_schedule(
     rows = []
     if method is Method.INTRINSIC:
         if rate is None:
-            raise MissingRate("intrinsic schedules require a discount rate")
+            raise MissingRate("intrinsic schedules require a discount rate", field="rate")
         for n in range(1, life + 1):
             expense = intrinsic_depreciation(asset, rate, n - 1, n)
             book = intrinsic_value(asset, rate, float(n)).amount
-            rows.append(ScheduleRow(n, float(n), expense, book))
+            rows.append(ScheduleRow(n, expense, book))
     else:
         book_fn = _CLASSIC_BOOK[method]
         prev = asset.cost
         for n in range(1, life + 1):
             book = book_fn(asset, n)
-            rows.append(ScheduleRow(n, float(n), book - prev, book))
+            rows.append(ScheduleRow(n, book - prev, book))
             prev = book
     return Schedule(method=method, rate=rate if method is Method.INTRINSIC else None,
                     asset=asset, rows=tuple(rows))
@@ -84,7 +83,7 @@ def compare_methods(
 ) -> ComparisonReport:
     """Aligned schedules for several methods over the same asset."""
     if not methods:
-        raise InvalidInput("at least one method is required")
+        raise InvalidInput("at least one method is required", field="methods")
     schedules = tuple(
         build_schedule(asset, m, rate if m is Method.INTRINSIC else None)
         for m in methods
@@ -95,7 +94,7 @@ def compare_methods(
 def rate_sweep(asset: AssetSpec, rates: list[DiscountRate]) -> SweepReport:
     """Intrinsic value at every integer age 0..lifetime, one row per rate."""
     if not rates:
-        raise InvalidInput("at least one rate is required")
+        raise InvalidInput("at least one rate is required", field="rates")
     life = _as_period(asset.lifetime, "lifetime")
     values = tuple(
         tuple(intrinsic_value(asset, r, float(a)).amount for a in range(life + 1))

@@ -43,6 +43,12 @@ class TestDoubleDeclining:
         with pytest.raises(NonIntegerPeriod):
             double_declining_book_value(AssetSpec(cost=100, lifetime=7.5), 1)
 
+    def test_lifetime_one_writes_off_to_zero(self):
+        # the declining factor 2/l exceeds 1 here; capped, the book stays >= 0
+        asset = AssetSpec(cost=100, lifetime=1)
+        assert double_declining_book_value(asset, 0) == 100
+        assert double_declining_book_value(asset, 1) == 0
+
 
 class TestSumOfYears:
     @pytest.mark.parametrize(

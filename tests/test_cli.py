@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
+from assetval import cli
 from assetval.cli import main
 
 
@@ -294,6 +296,37 @@ class TestBatch:
         path = self.write_registry(tmp_path, "name,price\nx,1\n")
         code, _ = run("batch", "--input", path)
         assert code == 2
+
+    def test_output_into_missing_directory_exit_2(self, tmp_path, monkeypatch, capsys):
+        path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\na,100,10,0.2,0\n")
+        loaded = []
+        load_registry = cli._load_registry
+        monkeypatch.setattr(cli, "_load_registry", lambda p: loaded.append(p) or load_registry(p))
+        code, out = run("batch", "--input", path, "--output", str(tmp_path / "no" / "report.json"))
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: --output: cannot write")
+        assert loaded == []  # the output is checked before any record is read
+
+    def test_failed_input_keeps_existing_report(self, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text("last run\n")
+        code, _ = run("batch", "--input", str(tmp_path / "nope.csv"), "--output", str(report))
+        assert code == 2
+        assert report.read_text() == "last run\n"
+
+    def test_output_to_device(self, tmp_path):
+        path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\na,100,10,0.2,0\n")
+        code, _ = run("batch", "--input", path, "--output", os.devnull)
+        assert code == 0
+
+    def test_output_may_replace_input(self, tmp_path):
+        path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\nforklift,100,10,0.2,5\n")
+        code, _ = run("batch", "--input", path, "--output", path, "--format", "csv")
+        assert code == 0
+        header, rows = parse_csv(open(path).read())
+        assert header == ["id", "value", "period", "expense", "book_value"]
+        assert len(rows) == 10
 
     def test_csv_output(self, tmp_path):
         path = self.write_registry(
