@@ -5,7 +5,8 @@ subcommand takes --format {table,csv,json} and --deterministic (omits the
 timestamp from JSON envelopes so identical invocations are byte-identical).
 
 Exit codes: 0 success, 1 internal error, 2 input validation failure,
-3 batch run with at least one failed record.
+3 batch run with at least one failed record, 141 stdout closed by its
+reader (128 + SIGPIPE, as the shell reports for a tool killed by it).
 
 Money is rendered with exactly 4 decimal places (half-even). CSV output
 uses '.' decimals, ',' separators, '\\n' line endings, and always carries
@@ -19,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
@@ -426,11 +428,19 @@ def main(argv: list[str] | None = None, out: io.TextIOBase | None = None) -> int
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, out)
+        code = args.handler(args, out)
+        out.flush()
+        return code
     except InvalidInput as exc:
         flag = "--life" if exc.field == "lifetime" else f"--{exc.field}"
         print(f"error: {flag}: {exc}" if exc.field else f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe. Point stdout at devnull so that the
+        # interpreter's final flush of what is left in its buffer stays quiet.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # noqa: BLE001 - last-resort guard for exit code 1
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

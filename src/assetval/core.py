@@ -6,21 +6,23 @@ outlays. The present cost of that perpetuity is finite for any positive
 discount rate, and the value of holding a partly-aged asset is the saving
 from deferring the whole replacement chain by the remaining life.
 
-Closed forms:
+Closed forms, with g = log1p(r) and E = expm1(-l*g) < 0: the compound-growth
+forms divided through by (1+r)^l, so every exponent is <= 0 and nothing overflows.
 
-    present cost     P(r, l)    = -cost * (1+r)^l / ((1+r)^l - 1)
-    delayed cost     D(r, l, a) = -cost * (1+r)^a / ((1+r)^l - 1)
-    intrinsic value  V(r, l, a) = cost * ((1+r)^l - (1+r)^a) / ((1+r)^l - 1)
-    depreciation     dV         = -cost * ((1+r)^b - (1+r)^a) / ((1+r)^l - 1)
+    present cost     P(r, l)    = cost / E
+    delayed cost     D(r, l, a) = cost * exp(-(l-a)*g) / E
+    intrinsic value  V(r, l, a) = cost * (expm1(-(l-a)*g) / E)
+    depreciation     dV         = V(r, l, b) - V(r, l, a)
+
+Below l*g = 2^-53 (rate 0 included) V is the straight line cost * (1 - a/l),
+which the closed form equals there to double precision.
 
 Costs are stored as positive magnitudes; expense results (present and
 delayed cost, depreciation) come back negative, values non-negative.
 `perpetuity_oracle` is a brute-force truncated sum of the replacement
 perpetuity, kept deliberately independent of the closed forms so the test
-suite can check one against the other. Its truncation law is exact: a sum
-of `terms` repurchases falls short of present_cost by the factor
-(1+r)^-(lifetime*(terms+1)), so a caller sizes `terms` from the tolerance
-it needs.
+suite can check one against the other. It falls short of present_cost by
+exactly the factor (1+r)^-(lifetime*(terms+1)), from which a caller sizes `terms`.
 """
 
 from __future__ import annotations
@@ -105,30 +107,22 @@ def _require_positive_rate(rate: DiscountRate) -> float:
     return rate.rate
 
 
-def _growth(rate: float, exponent: float) -> float:
-    """(1 + rate)^exponent, rejecting inputs that overflow to infinity."""
-    try:
-        out = math.exp(exponent * math.log1p(rate))
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise InvalidInput(
-            f"(1 + {rate})^{exponent} overflows double precision"
-        )
-    return out
+# Below this l*g the closed form equals the straight line to double precision,
+# and its intermediates can be subnormal and lose the value.
+_STRAIGHT_LINE_BELOW = 2.0**-53
 
 
-def _growth_m1(rate: float, exponent: float) -> float:
-    """(1 + rate)^exponent - 1, accurate for small rates."""
-    try:
-        out = math.expm1(exponent * math.log1p(rate))
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise InvalidInput(
-            f"(1 + {rate})^{exponent} overflows double precision"
-        )
-    return out
+def _chain_cost(asset: AssetSpec, rate: DiscountRate, start: float, name: str) -> float:
+    """cost * exp(-start*g) / E: the replacement chain bought first `start`
+    periods from now. Raises InvalidInput if that does not fit a double."""
+    r = _require_positive_rate(rate)
+    g = math.log1p(r)
+    e = math.expm1(-asset.lifetime * g)
+    amount = asset.cost * math.exp(-start * g) / e if e else -math.inf
+    if not math.isfinite(amount):
+        raise InvalidInput(f"{name} does not fit a double at rate {r!r} (its size is "
+                           "cost / (1 - (1+rate)^-lifetime))", field="rate")
+    return amount
 
 
 def present_cost(asset: AssetSpec, rate: DiscountRate) -> Valuation:
@@ -136,10 +130,10 @@ def present_cost(asset: AssetSpec, rate: DiscountRate) -> Valuation:
 
     Discounted sum of the purchase now plus one repurchase every lifetime,
     in perpetuity. Negative (an expense). Raises ZeroRateDivergence at
-    rate 0, where the perpetuity does not converge.
+    rate 0, where the perpetuity does not converge, and InvalidInput where
+    the amount does not fit a double.
     """
-    r = _require_positive_rate(rate)
-    amount = -asset.cost * _growth(r, asset.lifetime) / _growth_m1(r, asset.lifetime)
+    amount = _chain_cost(asset, rate, 0.0, "present cost")
     return Valuation(amount=amount, age=0.0, kind=ValuationKind.PRESENT_COST)
 
 
@@ -149,24 +143,38 @@ def delayed_present_cost(asset: AssetSpec, rate: DiscountRate, age: float) -> Va
     Equals present_cost discounted by (1+r)^(lifetime - age). Negative.
     """
     check_age(asset, age)
-    r = _require_positive_rate(rate)
-    amount = -asset.cost * _growth(r, age) / _growth_m1(r, asset.lifetime)
+    amount = _chain_cost(asset, rate, asset.lifetime - age, "delayed cost")
     return Valuation(amount=amount, age=age, kind=ValuationKind.DELAYED_COST)
+
+
+def _value_curve(asset: AssetSpec, rate: DiscountRate):
+    """age -> intrinsic value, ages unchecked, with g and E computed once.
+
+    intrinsic_value inlines the same formula, so a point valuation builds no closure."""
+    cost, life = asset.cost, asset.lifetime
+    g = math.log1p(rate.rate)
+    if life * g < _STRAIGHT_LINE_BELOW:
+        return lambda age: cost * (1.0 - age / life)
+    e = math.expm1(-life * g)
+    # -((life - age) * g) is -0.0 at age == life, so the value there is +0.0
+    return lambda age: cost * (math.expm1(-((life - age) * g)) / e)
 
 
 def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuation:
     """Value of holding the aged asset: delayed cost minus present cost.
 
-    Lies in [0, cost]; equals cost at age 0 and 0 at age = lifetime. At
-    rate 0 the two expense terms diverge but their difference does not,
-    and the analytic limit is the straight line cost * (1 - age/lifetime).
+    Lies in [0, cost]; equals cost at age 0 and +0.0 at age = lifetime. As
+    the rate nears 0 the two expense terms diverge but their difference
+    does not: below l*log1p(r) = 2^-53 (rate 0 included) the value is the
+    straight line cost * (1 - age/lifetime).
     """
     check_age(asset, age)
-    if rate.rate == 0:
-        amount = asset.cost * (1.0 - age / asset.lifetime)
+    life = asset.lifetime
+    g = math.log1p(rate.rate)
+    if life * g < _STRAIGHT_LINE_BELOW:
+        amount = asset.cost * (1.0 - age / life)
     else:
-        denom = _growth_m1(rate.rate, asset.lifetime)
-        amount = asset.cost * (denom - _growth_m1(rate.rate, age)) / denom
+        amount = asset.cost * (math.expm1(-((life - age) * g)) / math.expm1(-life * g))
     return Valuation(amount=amount, age=age, kind=ValuationKind.INTRINSIC_VALUE)
 
 
@@ -175,8 +183,8 @@ def intrinsic_depreciation(
 ) -> float:
     """Drop in intrinsic value over [age_start, age_end], as a signed expense.
 
-    Always <= 0; zero only for a zero-length period. The rate-0 limit is
-    the straight-line expense for the same span.
+    Always <= 0; zero for a zero-length period. Near rate 0 it is the
+    straight-line expense for the same span.
     """
     check_age(asset, age_start, name="age_start")
     check_age(asset, age_end, name="age_end")
@@ -184,10 +192,8 @@ def intrinsic_depreciation(
         raise AgeOrderViolation(
             f"age_end ({age_end}) precedes age_start ({age_start})"
         )
-    if rate.rate == 0:
-        return -asset.cost * (age_end - age_start) / asset.lifetime
-    denom = _growth_m1(rate.rate, asset.lifetime)
-    return -asset.cost * (_growth_m1(rate.rate, age_end) - _growth_m1(rate.rate, age_start)) / denom
+    value = _value_curve(asset, rate)
+    return value(age_end) - value(age_start)
 
 
 def perpetuity_oracle(asset: AssetSpec, rate: DiscountRate, terms: int) -> float:

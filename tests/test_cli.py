@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import assetval
 from assetval import cli
 from assetval.cli import main
 
@@ -69,6 +73,17 @@ class TestValue:
         assert code == 0
         assert "generated_at" in json.loads(out)
 
+    def test_compound_factor_beyond_double(self):
+        assert run("value", "--cost", "2", "--life", "142", "--rate", "147") == (0, "2.0000\n")
+        code, _ = run("value", "--cost", "100", "--life", "2000", "--rate", "0.5")
+        assert code == 0
+
+    def test_result_beyond_double_names_rate(self, capsys):
+        code, out = run("value", "--cost", "100", "--life", "1", "--rate", "5e-324",
+                        "--detail", "--format", "json")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --rate: ")
+
     def test_negative_cost_names_flag(self, capsys):
         code, _ = run("value", "--cost", "-5", "--life", "10", "--rate", "0.2")
         assert code == 2
@@ -124,6 +139,18 @@ class TestSchedule:
         for _, expense, book_value in rows:
             book += float(expense)
             assert book == pytest.approx(float(book_value), abs=5e-4)
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # About 1.3 MB of CSV: more than a pipe buffers, so writing meets the closed pipe.
+        argv = ["schedule", "--cost", "100", "--life", "50000", "--rate", "0.0001",
+                "--method", "intrinsic", "--format", "csv"]
+        env = {**os.environ, "PYTHONPATH": str(Path(assetval.__file__).parents[1])}
+        with subprocess.Popen([sys.executable, "-m", "assetval.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"period,expense,book_value\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
 
 
 class TestCompare:

@@ -15,9 +15,11 @@ from assetval import (
     AssetSpec,
     DiscountRate,
     InvalidInput,
+    Method,
     Valuation,
     ValuationKind,
     ZeroRateDivergence,
+    build_schedule,
     delayed_present_cost,
     intrinsic_depreciation,
     intrinsic_value,
@@ -60,9 +62,17 @@ class TestPresentCost:
         with pytest.raises(ZeroRateDivergence):
             present_cost(REF_ASSET, DiscountRate(0))
 
-    def test_overflow_guarded(self):
-        with pytest.raises(InvalidInput):
-            present_cost(AssetSpec(cost=1, lifetime=1e6), DiscountRate(10))
+    def test_compound_factor_beyond_double(self):
+        # 11^1e6 does not fit a double; the present cost is the bare cost
+        assert present_cost(AssetSpec(cost=1, lifetime=1e6), DiscountRate(10)).amount == -1.0
+
+    def test_result_beyond_double_rejected(self):
+        # P and D are about -cost / (lifetime * rate): -inf at a subnormal rate
+        asset, rate = AssetSpec(cost=100, lifetime=1), DiscountRate(5e-324)
+        for cost_of in (present_cost, lambda a, r: delayed_present_cost(a, r, 0.5)):
+            with pytest.raises(InvalidInput) as exc:
+                cost_of(asset, rate)
+            assert exc.value.field == "rate"
 
 
 class TestDelayedPresentCost:
@@ -117,11 +127,36 @@ class TestIntrinsicValue:
         with pytest.raises(AgeOutOfRange):
             intrinsic_value(REF_ASSET, R20, 11)
 
+    def test_huge_rate_and_lifetime(self):
+        # 148^142 does not fit a double
+        asset, rate = AssetSpec(cost=2, lifetime=142), DiscountRate(147)
+        assert intrinsic_value(asset, rate, 0).amount == 2.0
+        rows = build_schedule(asset, Method.INTRINSIC, rate).rows
+        assert all(math.isfinite(row.book_value) for row in rows)
+
+    def test_subnormal_rate_is_straight_line(self):
+        v = intrinsic_value(AssetSpec(cost=100, lifetime=1), DiscountRate(5e-324), 0.5)
+        assert v.amount == 50
+
     def test_returns_valuation(self):
         v = intrinsic_value(REF_ASSET, R20, 3)
         assert isinstance(v, Valuation)
         assert v.age == 3
         assert v.kind is ValuationKind.INTRINSIC_VALUE
+
+
+class TestLongLifetimes:
+    """(1+r)^lifetime does not fit a double at these points; V, D and P do."""
+
+    @pytest.mark.parametrize("lifetime, rate", [(2000, 0.5), (1e5, 0.01)])
+    def test_finite_and_telescoping(self, lifetime, rate):
+        asset, rate = AssetSpec(cost=100, lifetime=lifetime), DiscountRate(rate)
+        for age in (0, lifetime / 2, lifetime):
+            assert math.isfinite(intrinsic_value(asset, rate, age).amount)
+            assert math.isfinite(delayed_present_cost(asset, rate, age).amount)
+        assert math.isfinite(present_cost(asset, rate).amount)
+        rows = build_schedule(asset, Method.INTRINSIC, rate).rows
+        assert math.fsum(row.expense for row in rows) == pytest.approx(-100, rel=1e-12)
 
 
 class TestIntrinsicDepreciation:
