@@ -9,10 +9,10 @@ from deferring the whole replacement chain by the remaining life.
 Closed forms, with g = log1p(r) and E = expm1(-l*g) < 0: the compound-growth
 forms divided through by (1+r)^l, so every exponent is <= 0 and nothing overflows.
 
-    present cost     P(r, l)    = cost / E
-    delayed cost     D(r, l, a) = cost * exp(-(l-a)*g) / E
-    intrinsic value  V(r, l, a) = cost * (expm1(-(l-a)*g) / E)
-    depreciation     dV         = V(r, l, b) - V(r, l, a)
+    present cost     P(r, l)     = cost / E
+    delayed cost     D(r, l, a)  = cost * exp(-(l-a)*g) / E
+    intrinsic value  V(r, l, a)  = cost * (expm1(-(l-a)*g) / E)
+    depreciation     V(b) - V(a) = -cost * exp(-(l-b)*g) * expm1(-(b-a)*g) / E
 
 Below l*g = 2^-53 (rate 0 included) V is the straight line cost * (1 - a/l),
 which the closed form equals there to double precision.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .errors import (
     AgeOrderViolation,
@@ -113,8 +114,7 @@ _STRAIGHT_LINE_BELOW = 2.0**-53
 
 
 def _chain_cost(asset: AssetSpec, rate: DiscountRate, start: float, name: str) -> float:
-    """cost * exp(-start*g) / E: the replacement chain bought first `start`
-    periods from now. Raises InvalidInput if that does not fit a double."""
+    """cost * exp(-start*g) / E: the chain first bought `start` periods on, if it fits a double."""
     r = _require_positive_rate(rate)
     g = math.log1p(r)
     e = math.expm1(-asset.lifetime * g)
@@ -147,34 +147,36 @@ def delayed_present_cost(asset: AssetSpec, rate: DiscountRate, age: float) -> Va
     return Valuation(amount=amount, age=age, kind=ValuationKind.DELAYED_COST)
 
 
-def _value_curve(asset: AssetSpec, rate: DiscountRate):
-    """age -> intrinsic value, ages unchecked, with g and E computed once.
-
-    intrinsic_value inlines the same formula, so a point valuation builds no closure."""
-    cost, life = asset.cost, asset.lifetime
+def _discount(asset: AssetSpec, rate: DiscountRate) -> tuple[float, float]:
+    """g = log1p(r) and E = expm1(-l*g), with E = 0.0 where V is the straight line."""
     g = math.log1p(rate.rate)
-    if life * g < _STRAIGHT_LINE_BELOW:
-        return lambda age: cost * (1.0 - age / life)
-    e = math.expm1(-life * g)
-    # -((life - age) * g) is -0.0 at age == life, so the value there is +0.0
-    return lambda age: cost * (math.expm1(-((life - age) * g)) / e)
+    lg = asset.lifetime * g
+    return g, math.expm1(-lg) if lg >= _STRAIGHT_LINE_BELOW else 0.0
+
+
+def _value_at(cost: float, life: float, g: float, e: float, age: float) -> float:
+    """V(age) on precomputed g and E; the age is unchecked."""
+    if not e:
+        return cost * (1.0 - age / life)
+    # ratio in [0, 1]: V(0) is exactly cost; -((life - age) * g) = -0.0 makes V(life) +0.0
+    return cost * (math.expm1(-((life - age) * g)) / e)
+
+
+def _value_curve(asset: AssetSpec, rate: DiscountRate):
+    """age -> intrinsic value, ages unchecked, with g and E computed once."""
+    return partial(_value_at, asset.cost, asset.lifetime, *_discount(asset, rate))
 
 
 def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuation:
     """Value of holding the aged asset: delayed cost minus present cost.
 
-    Lies in [0, cost]; equals cost at age 0 and +0.0 at age = lifetime. As
-    the rate nears 0 the two expense terms diverge but their difference
-    does not: below l*log1p(r) = 2^-53 (rate 0 included) the value is the
-    straight line cost * (1 - age/lifetime).
+    Lies in [0, cost]; cost at age 0 and +0.0 at age = lifetime. Near rate 0
+    the two expense terms diverge but their difference does not: below
+    l*log1p(r) = 2^-53 (rate 0 included) it is the straight line cost * (1 - age/l).
     """
     check_age(asset, age)
-    life = asset.lifetime
-    g = math.log1p(rate.rate)
-    if life * g < _STRAIGHT_LINE_BELOW:
-        amount = asset.cost * (1.0 - age / life)
-    else:
-        amount = asset.cost * (math.expm1(-((life - age) * g)) / math.expm1(-life * g))
+    g, e = _discount(asset, rate)
+    amount = _value_at(asset.cost, asset.lifetime, g, e, age)
     return Valuation(amount=amount, age=age, kind=ValuationKind.INTRINSIC_VALUE)
 
 
@@ -183,17 +185,19 @@ def intrinsic_depreciation(
 ) -> float:
     """Drop in intrinsic value over [age_start, age_end], as a signed expense.
 
-    Always <= 0; zero for a zero-length period. Near rate 0 it is the
-    straight-line expense for the same span.
+    Always <= 0; zero for a zero-length period; the straight-line expense near
+    rate 0. Computed as the drop itself, not as a difference of two values near
+    cost, so short spans keep their relative precision.
     """
     check_age(asset, age_start, name="age_start")
     check_age(asset, age_end, name="age_end")
     if age_end < age_start:
-        raise AgeOrderViolation(
-            f"age_end ({age_end}) precedes age_start ({age_start})"
-        )
-    value = _value_curve(asset, rate)
-    return value(age_end) - value(age_start)
+        raise AgeOrderViolation(f"age_end ({age_end}) precedes age_start ({age_start})")
+    g, e = _discount(asset, rate)
+    span = age_end - age_start
+    if not e:
+        return -asset.cost * span / asset.lifetime
+    return -asset.cost * math.exp(-(asset.lifetime - age_end) * g) * math.expm1(-span * g) / e
 
 
 def perpetuity_oracle(asset: AssetSpec, rate: DiscountRate, terms: int) -> float:

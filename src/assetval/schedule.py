@@ -12,9 +12,7 @@ from .classic import (
     straight_line_book_value,
     sum_of_years_book_value,
 )
-from .core import AssetSpec, DiscountRate, _value_curve, intrinsic_value
-# Unused here; the benchmark's tracer patches schedule.intrinsic_depreciation by name.
-from .core import intrinsic_depreciation  # noqa: F401
+from .core import AssetSpec, DiscountRate, _value_curve, intrinsic_depreciation, intrinsic_value
 from .errors import InvalidInput, MissingRate
 
 
@@ -60,21 +58,19 @@ def build_schedule(
 
     Intrinsic schedules need a rate (rate 0 degenerates to straight-line);
     classical methods ignore it. Each expense is the period's drop in book
-    value, so the expenses telescope to the final book value minus cost.
+    value (for intrinsic, computed directly by intrinsic_depreciation).
     """
     life = _as_period(asset.lifetime, "lifetime")
-    if method is Method.INTRINSIC:
-        if rate is None:
-            raise MissingRate("intrinsic schedules require a discount rate", field="rate")
-        book_at = _value_curve(asset, rate)
+    if method is not Method.INTRINSIC:
+        rate, book_at, drop = None, partial(_CLASSIC_BOOK[method], asset), None
+    elif rate is None:
+        raise MissingRate("intrinsic schedules require a discount rate", field="rate")
     else:
-        rate = None
-        book_at = partial(_CLASSIC_BOOK[method], asset)
-    rows = []
-    prev = asset.cost
+        book_at, drop = _value_curve(asset, rate), partial(intrinsic_depreciation, asset, rate)
+    rows, prev = [], asset.cost
     for n in range(1, life + 1):
         book = book_at(n)
-        rows.append(ScheduleRow(n, book - prev, book))
+        rows.append(ScheduleRow(n, drop(n - 1, n) if drop else book - prev, book))
         prev = book
     return Schedule(method=method, rate=rate, asset=asset, rows=tuple(rows))
 

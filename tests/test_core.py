@@ -6,6 +6,7 @@ forms were trusted.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -185,6 +186,22 @@ class TestIntrinsicDepreciation:
     def test_zero_rate_is_straight_line_expense(self):
         dv = intrinsic_depreciation(REF_ASSET, DiscountRate(0), 2, 4)
         assert dv == pytest.approx(-20, rel=1e-12)
+
+    def test_tiny_span_at_rate_zero_is_exact(self):
+        # V(1e-10) - V(0) would keep only about 5 significant digits here
+        assert intrinsic_depreciation(REF_ASSET, DiscountRate(0), 0, 1e-10) == -100 * 1e-10 / 10
+
+    def test_small_first_period_keeps_relative_precision(self):
+        # The first-period drop at (l=100, r=0.2) is about 2.4e-9 * cost;
+        # exact: -cost * r / ((1+r)^100 - 1), evaluated in 50-digit decimals.
+        asset = AssetSpec(100, 100)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            r = Decimal(R20.rate)
+            exact = float(-100 * r / ((1 + r) ** 100 - 1))
+        dv = intrinsic_depreciation(asset, R20, 0, 1)
+        assert dv == pytest.approx(exact, rel=1e-14, abs=0)
+        assert build_schedule(asset, Method.INTRINSIC, R20).rows[0].expense == dv
 
 
 class TestPerpetuityOracle:
