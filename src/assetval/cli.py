@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -86,8 +86,54 @@ def _envelope(command: str, payload: dict, deterministic: bool) -> dict:
     return env
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it, at the indent of pad
+    ("\n" and spaces); an iterable other than str or dict is a list."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items, brackets = [f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in obj.items()], "{}"
+    else:
+        items, brackets = [_json_text(v, inner) for v in obj], "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + f",{inner}".join(items) + pad + brackets[1]
+
+
+def _write_json(write, obj, pad: str = "\n") -> None:
+    """Pass _json_text(obj, pad) to write in pieces: dicts key by key and
+    iterators item by item, so an iterator under dicts is consumed as it
+    is written; any other value in one piece."""
+    if isinstance(obj, dict):
+        opener, closer, items = "{", "}", ((f"{_json_str(k)}: ", v) for k, v in obj.items())
+    elif isinstance(obj, Iterator):
+        opener, closer, items = "[", "]", (("", v) for v in obj)
+    else:
+        write(_json_text(obj, pad))
+        return
+    inner = pad + "  "
+    lead = opener + inner
+    for key, value in items:
+        write(lead + key)
+        _write_json(write, value, inner)
+        lead = "," + inner
+    write(pad + closer if lead[0] == "," else opener + closer)
+
+
 def _emit_json(out, command: str, payload: dict, deterministic: bool) -> None:
-    json.dump(_envelope(command, payload, deterministic), out, indent=2)
+    _write_json(out.write, _envelope(command, payload, deterministic))
     out.write("\n")
 
 
@@ -114,9 +160,10 @@ def _render(out, args, command: str, header: list[str], rows: Iterable[Sequence[
 
     header and rows are the table; each row holds strings and money as
     floats, and is formatted as it is written, so rows may be a generator.
-    payload is what --format json writes. With labels (value, surplus:
-    always one row), --format table prints one line per column, the label
-    and the cell, or the bare cell where the label is empty. errors marks
+    payload is what --format json writes; an iterator in it (batch's
+    entries) is written item by item. With labels (value, surplus: always
+    one row), --format table prints one line per column, the label and the
+    cell, or the bare cell where the label is empty. errors marks
     a batch report: its table format is the JSON report, and with CSV its
     record errors go to stderr, one "id: reason" line each.
     """
@@ -276,7 +323,7 @@ def _load_registry(path: Path) -> list[dict]:
     """Rows as dicts with string values; format sniffed by extension."""
     suffix = path.suffix.lower()
     if suffix == ".csv":
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
             missing = [f for f in REGISTRY_FIELDS[:4] if f not in header]
@@ -287,7 +334,7 @@ def _load_registry(path: Path) -> list[dict]:
             return list(reader)
     if suffix == ".json":
         try:
-            records = json.loads(path.read_text())
+            records = json.loads(path.read_text(encoding="utf-8-sig"))
         except json.JSONDecodeError as exc:
             raise CliError(f"--input: invalid JSON registry ({exc})") from None
         if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
@@ -328,23 +375,26 @@ def cmd_batch(args, out) -> int:
     except OSError as exc:
         raise CliError(f"--input: cannot read {args.input!r} ({exc.strerror or exc})") from None
 
-    entries: list[dict] = []
     errors: list[dict] = []
-    seen: set[str] = set()
-    for idx, record in enumerate(records, start=1):
-        rec_id = str(record.get("id") or "").strip()
-        if not rec_id:
-            errors.append({"id": f"<row {idx}>", "reason": "missing or empty id"})
-            continue
-        if rec_id in seen:
-            errors.append({"id": rec_id, "reason": "duplicate id"})
-            continue
-        seen.add(rec_id)
-        try:
-            entries.append(_batch_record({**record, "id": rec_id}))
-        except InvalidInput as exc:
-            errors.append({"id": rec_id, "reason": str(exc)})
 
+    def checked_entries():
+        seen: set[str] = set()
+        for idx, record in enumerate(records, start=1):
+            rec_id = "" if record.get("id") is None else str(record["id"]).strip()
+            if not rec_id:
+                errors.append({"id": f"<row {idx}>", "reason": "missing or empty id"})
+            elif rec_id in seen:
+                errors.append({"id": rec_id, "reason": "duplicate id"})
+            else:
+                seen.add(rec_id)
+                try:
+                    entry = _batch_record({**record, "id": rec_id})
+                except InvalidInput as exc:
+                    errors.append({"id": rec_id, "reason": str(exc)})
+                else:
+                    yield entry
+
+    entries = checked_entries()
     rows = (
         (e["id"], e["value"], str(r["period"]), r["expense"], r["book_value"])
         for e in entries
@@ -352,6 +402,8 @@ def cmd_batch(args, out) -> int:
     )
     sink = open(args.output, "w") if args.output else out
     try:
+        # JSON writes "errors" after "entries" and CSV prints it after the
+        # rows, so the list is complete by the time it is written.
         _render(sink, args, "batch", ["id", "value", "period", "expense", "book_value"], rows,
                 {"entries": entries, "errors": errors}, errors=errors)
     finally:

@@ -366,3 +366,68 @@ class TestBatch:
         assert len(rows) == 10
         assert rows[0][0] == "forklift"
         assert rows[0][1] == "71.3329"
+
+    def test_entries_stream_as_computed(self, tmp_path, monkeypatch):
+        path = self.write_registry(
+            tmp_path,
+            "id,cost,lifetime,rate,age\na,100,10,0.2,5\nb,100,3,0.1,\nc,100,10,0.2,11\n",
+        )
+        log = []
+
+        class Recorder:
+            def write(self, text):
+                log.append(text)
+
+            def flush(self):
+                pass
+
+        batch_record = cli._batch_record
+
+        def logged(record):
+            log.append(("record", record["id"]))
+            return batch_record(record)
+
+        monkeypatch.setattr(cli, "_batch_record", logged)
+        code = main(["batch", "--input", path, "--format", "json", "--deterministic"],
+                    out=Recorder())
+        assert code == 3
+        third = log.index(("record", "c"))
+        before = "".join(t for t in log[:third] if isinstance(t, str))
+        report = "".join(t for t in log if isinstance(t, str))
+        start = report.index("{", report.index('"entries": ['))
+        first, end = json.JSONDecoder().raw_decode(report, start)
+        assert first["id"] == "a"
+        assert len(before) >= end  # the whole first entry was written already
+        payload = json.loads(report)["payload"]
+        assert list(payload) == ["entries", "errors"]
+        assert [e["id"] for e in payload["entries"]] == ["a", "b"]
+        assert [e["id"] for e in payload["errors"]] == ["c"]
+
+    @pytest.mark.parametrize("name, text", [
+        ("assets.csv", "id,cost,lifetime,rate,age\nf,100,10,0.2,5\n"),
+        ("assets.json", '[{"id": "f", "cost": 100, "lifetime": 10, "rate": 0.2, "age": 5}]'),
+    ], ids=["csv", "json"])
+    def test_registry_with_utf8_bom(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code, out = run("batch", "--input", str(path), "--format", "json", "--deterministic")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert [e["id"] for e in payload["entries"]] == ["f"]
+        assert payload["entries"][0]["value"] == 71.3329
+
+    def test_json_ids_zero_and_blank(self, tmp_path):
+        path = tmp_path / "assets.json"
+        path.write_text(json.dumps([
+            {"id": 0, "cost": 100, "lifetime": 10, "rate": 0.2},
+            {"id": None, "cost": 100, "lifetime": 10, "rate": 0.2},
+            {"id": " ", "cost": 100, "lifetime": 10, "rate": 0.2},
+            {"cost": 100, "lifetime": 10, "rate": 0.2},
+        ]))
+        code, out = run("batch", "--input", str(path), "--format", "json", "--deterministic")
+        assert code == 3
+        payload = json.loads(out)["payload"]
+        assert [e["id"] for e in payload["entries"]] == ["0"]
+        assert payload["errors"] == [
+            {"id": f"<row {n}>", "reason": "missing or empty id"} for n in (2, 3, 4)
+        ]

@@ -62,10 +62,19 @@ MIXED_JSON = json.dumps([
     {"id": "forklift", "cost": 100, "lifetime": 10, "rate": 0.2, "age": 1},
 ])
 
+# Every record fails, so the report's entries are empty and its errors not.
+INVALID_JSON = json.dumps([
+    {"id": "neg", "cost": -5, "lifetime": 10, "rate": 0.2},
+    {"id": "", "cost": 100, "lifetime": 10, "rate": 0.2},
+    {"id": "old", "cost": 100, "lifetime": 10, "rate": 0.2, "age": 11},
+])
+
 REGISTRIES = {
     "good.csv": GOOD_CSV,
     "mixed.csv": MIXED_CSV,
     "mixed.json": MIXED_JSON,
+    "header_only.csv": "id,cost,lifetime,rate,age\n",
+    "invalid.json": INVALID_JSON,
     "bad_header.csv": "name,price\nx,1\n",
     "broken.json": "[{",
     "assets.xml": "<assets/>",
@@ -108,6 +117,8 @@ VALID = {
     "batch-good": ["batch", "--input", "{dir}/good.csv"],
     "batch-mixed-csv": ["batch", "--input", "{dir}/mixed.csv"],
     "batch-mixed-json": ["batch", "--input", "{dir}/mixed.json"],
+    "batch-header-only": ["batch", "--input", "{dir}/header_only.csv"],
+    "batch-all-invalid": ["batch", "--input", "{dir}/invalid.json"],
 }
 
 # Each exits 2, writes nothing to stdout and names the flag on stderr.

@@ -1,4 +1,5 @@
-"""Properties of the closed forms over wide input ranges, checked with Hypothesis.
+"""Properties checked with Hypothesis: the closed forms over wide input
+ranges, and the CLI's JSON writer against the json module.
 
 Ranges: cost in [1e-6, 1e12], lifetime in [1e-3, 1e6], rate in [0, 1e3],
 rate 0 and subnormal rates included. Each range is drawn both uniformly
@@ -6,6 +7,8 @@ and log-uniformly, so that small magnitudes are reached as often as large
 ones. Runs are derandomized, so the suite is deterministic.
 """
 
+import io
+import json
 import math
 
 import pytest
@@ -21,6 +24,7 @@ from assetval import (
     intrinsic_value,
     present_cost,
 )
+from assetval.cli import _write_json
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -100,3 +104,46 @@ def test_present_cost_finite_or_rejected(cost, lifetime, rate):
     except InvalidInput:
         return
     assert math.isfinite(amount) and amount < 0
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e-7, 1e16, 1e22, math.nan, math.inf, -math.inf])
+    | st.text(max_size=8)
+    | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600 a'), max_size=8)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+def as_generators(obj):
+    """obj with every list and tuple turned into a generator."""
+    if isinstance(obj, dict):
+        return {k: as_generators(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return (as_generators(v) for v in obj)
+    return obj
+
+
+def written(obj):
+    buf = io.StringIO()
+    _write_json(buf.write, obj)
+    return buf.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(json_values)
+@example({"a": [], "b": {}, "c": [[], {}, [[{}]]], "d": {"e": {"f": []}}})
+@example([[], ()])
+def test_json_writer_matches_json_module(obj):
+    want = json.dumps(obj, indent=2)
+    assert written(obj) == want
+    assert written(as_generators(obj)) == want
