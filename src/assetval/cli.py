@@ -343,12 +343,25 @@ def _load_registry(path: Path) -> list[dict]:
     raise CliError(f"--input: unsupported registry extension {suffix!r} (use .csv or .json)")
 
 
+def _required(record: dict, name: str) -> str:
+    """The record's token for a required field; absent, JSON null and a
+    cell past the end of a short CSV row (DictReader's None) are missing."""
+    token = record.get(name)
+    if token is None:
+        raise CliError(f"{name}: missing value")
+    return str(token)
+
+
 def _batch_record(record: dict) -> dict:
     """Validate one registry record and compute its value and schedule."""
-    cost = _parse_number(str(record.get("cost", "")), "cost")
-    lifetime = _parse_number(str(record.get("lifetime", "")), "lifetime")
+    extra = record.get(None)  # DictReader's key for the cells of a long CSV row
+    if extra is not None:
+        raise CliError(f"row has {len(extra)} cell(s) beyond the header: "
+                       + ", ".join(map(repr, extra)))
+    cost = _parse_number(_required(record, "cost"), "cost")
+    lifetime = _parse_number(_required(record, "lifetime"), "lifetime")
     asset = AssetSpec(cost=cost, lifetime=lifetime)
-    rate = parse_rate(str(record.get("rate", "")), "rate")
+    rate = parse_rate(_required(record, "rate"), "rate")
     age_token = record.get("age")
     if age_token in (None, ""):
         age = 0.0

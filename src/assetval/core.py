@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import NamedTuple
 
 from .errors import (
     AgeOrderViolation,
@@ -78,17 +79,24 @@ class ValuationKind(Enum):
     INTRINSIC_VALUE = "intrinsic_value"
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """A money amount attached to an asset age.
 
     Present and delayed cost are expenses and carry a negative amount;
-    intrinsic value lies in [0, cost].
+    intrinsic value lies in [0, cost]. A NamedTuple, because every point
+    valuation builds one: a frozen dataclass assigns each field through
+    object.__setattr__, which costs several times the formula.
     """
 
     amount: float
     age: float
     kind: ValuationKind
+
+
+# Read as globals by the point functions, which skips an enum attribute lookup per call.
+_PRESENT_COST = ValuationKind.PRESENT_COST
+_DELAYED_COST = ValuationKind.DELAYED_COST
+_INTRINSIC_VALUE = ValuationKind.INTRINSIC_VALUE
 
 
 def check_age(asset: AssetSpec, age: float, *, name: str = "age") -> float:
@@ -134,7 +142,7 @@ def present_cost(asset: AssetSpec, rate: DiscountRate) -> Valuation:
     the amount does not fit a double.
     """
     amount = _chain_cost(asset, rate, 0.0, "present cost")
-    return Valuation(amount=amount, age=0.0, kind=ValuationKind.PRESENT_COST)
+    return Valuation(amount, 0.0, _PRESENT_COST)
 
 
 def delayed_present_cost(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuation:
@@ -144,7 +152,7 @@ def delayed_present_cost(asset: AssetSpec, rate: DiscountRate, age: float) -> Va
     """
     check_age(asset, age)
     amount = _chain_cost(asset, rate, asset.lifetime - age, "delayed cost")
-    return Valuation(amount=amount, age=age, kind=ValuationKind.DELAYED_COST)
+    return Valuation(amount, age, _DELAYED_COST)
 
 
 def _discount(asset: AssetSpec, rate: DiscountRate) -> tuple[float, float]:
@@ -176,8 +184,7 @@ def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuati
     """
     check_age(asset, age)
     g, e = _discount(asset, rate)
-    amount = _value_at(asset.cost, asset.lifetime, g, e, age)
-    return Valuation(amount=amount, age=age, kind=ValuationKind.INTRINSIC_VALUE)
+    return Valuation(_value_at(asset.cost, asset.lifetime, g, e, age), age, _INTRINSIC_VALUE)
 
 
 def intrinsic_depreciation(

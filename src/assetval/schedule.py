@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .classic import (
     Method,
@@ -16,8 +17,9 @@ from .core import AssetSpec, DiscountRate, _value_curve, intrinsic_depreciation,
 from .errors import InvalidInput, MissingRate
 
 
-@dataclass(frozen=True)
-class ScheduleRow:
+class ScheduleRow(NamedTuple):
+    """One period of a schedule; a NamedTuple, as a schedule builds one per period."""
+
     period: int  # 1-based
     expense: float  # <= 0
     book_value: float  # >= 0
@@ -113,8 +115,9 @@ def trade_surplus(
 ) -> float:
     """Buyer's intrinsic valuation minus the seller's at the same age.
 
-    Non-negative whenever the buyer's cost of capital is the higher one;
-    zero at age 0 and at end of life regardless of rates.
+    Non-negative whenever the buyer's cost of capital is the higher one, up
+    to rounding (at rates an ulp apart the two values can cross by an ulp of
+    cost); zero at age 0 and at end of life regardless of rates.
     """
     buyer = intrinsic_value(asset, buyer_rate, age).amount
     seller = intrinsic_value(asset, seller_rate, age).amount

@@ -431,3 +431,50 @@ class TestBatch:
         assert payload["errors"] == [
             {"id": f"<row {n}>", "reason": "missing or empty id"} for n in (2, 3, 4)
         ]
+
+    @pytest.mark.parametrize("text, reason", [
+        ("id,cost,lifetime,rate,age\nf,100\n", "lifetime: missing value"),
+        ("id,cost,lifetime,rate,age\nf\n", "cost: missing value"),
+        ("id,cost,lifetime,rate,age\nf,100,10\n", "rate: missing value"),
+    ], ids=["no-lifetime", "no-cost", "no-rate"])
+    def test_short_csv_row_names_missing_field(self, tmp_path, text, reason):
+        path = self.write_registry(tmp_path, text)
+        code, out = run("batch", "--input", path, "--format", "json", "--deterministic")
+        assert code == 3
+        assert json.loads(out)["payload"]["errors"] == [{"id": "f", "reason": reason}]
+
+    def test_short_csv_row_without_age_is_age_zero(self, tmp_path):
+        path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\ng,100,10,0.2\n")
+        code, out = run("batch", "--input", path, "--format", "json", "--deterministic")
+        assert code == 0
+        entry = json.loads(out)["payload"]["entries"][0]
+        assert (entry["id"], entry["age"], entry["value"]) == ("g", 0.0, 100.0)
+
+    @pytest.mark.parametrize("extra", [["EXTRA"], ["x", ""]], ids=["one", "two"])
+    def test_long_csv_row_names_extra_cells(self, tmp_path, extra):
+        line = ",".join(["g", "100", "10", "0.2", "1", *extra])
+        path = self.write_registry(tmp_path, f"id,cost,lifetime,rate,age\n{line}\n")
+        code, out = run("batch", "--input", path, "--format", "json", "--deterministic")
+        assert code == 3
+        payload = json.loads(out)["payload"]
+        assert payload["entries"] == []
+        [error] = payload["errors"]
+        assert error["id"] == "g"
+        assert "beyond the header" in error["reason"]
+        assert all(repr(cell) in error["reason"] for cell in extra)
+
+    def test_json_null_or_absent_field_named_missing(self, tmp_path):
+        path = tmp_path / "assets.json"
+        path.write_text(json.dumps([
+            {"id": "a", "cost": None, "lifetime": 10, "rate": 0.2},
+            {"id": "b", "cost": 100, "lifetime": 10},
+            {"id": "c", "cost": 100, "lifetime": 10, "rate": 0.2, "age": None},
+        ]))
+        code, out = run("batch", "--input", str(path), "--format", "json", "--deterministic")
+        assert code == 3
+        payload = json.loads(out)["payload"]
+        assert [(e["id"], e["age"]) for e in payload["entries"]] == [("c", 0.0)]
+        assert payload["errors"] == [
+            {"id": "a", "reason": "cost: missing value"},
+            {"id": "b", "reason": "rate: missing value"},
+        ]

@@ -69,12 +69,30 @@ INVALID_JSON = json.dumps([
     {"id": "old", "cost": 100, "lifetime": 10, "rate": 0.2, "age": 11},
 ])
 
+# Short rows, a long row and null or absent fields, between valid ones.
+RAGGED_CSV = """\
+id,cost,lifetime,rate,age
+short,100
+noage,100,3,0.2
+long,100,3,0.2,1,EXTRA
+nocost
+forklift,100,10,0.2,5
+"""
+
+RAGGED_JSON = json.dumps([
+    {"id": "nullcost", "cost": None, "lifetime": 10, "rate": 0.2},
+    {"id": "norate", "cost": 100, "lifetime": 10},
+    {"id": "nullage", "cost": 100, "lifetime": 3, "rate": 0.2, "age": None},
+])
+
 REGISTRIES = {
     "good.csv": GOOD_CSV,
     "mixed.csv": MIXED_CSV,
     "mixed.json": MIXED_JSON,
     "header_only.csv": "id,cost,lifetime,rate,age\n",
     "invalid.json": INVALID_JSON,
+    "ragged.csv": RAGGED_CSV,
+    "ragged.json": RAGGED_JSON,
     "bad_header.csv": "name,price\nx,1\n",
     "broken.json": "[{",
     "assets.xml": "<assets/>",
@@ -119,6 +137,8 @@ VALID = {
     "batch-mixed-json": ["batch", "--input", "{dir}/mixed.json"],
     "batch-header-only": ["batch", "--input", "{dir}/header_only.csv"],
     "batch-all-invalid": ["batch", "--input", "{dir}/invalid.json"],
+    "batch-ragged-csv": ["batch", "--input", "{dir}/ragged.csv"],
+    "batch-ragged-json": ["batch", "--input", "{dir}/ragged.json"],
 }
 
 # Each exits 2, writes nothing to stdout and names the flag on stderr.

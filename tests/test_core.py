@@ -145,6 +145,16 @@ class TestIntrinsicValue:
         assert v.age == 3
         assert v.kind is ValuationKind.INTRINSIC_VALUE
 
+    def test_valuation_is_an_immutable_named_tuple(self):
+        v = intrinsic_value(REF_ASSET, R20, 5)
+        amount, age, kind = v
+        assert (amount, age, kind) == (v.amount, 5, ValuationKind.INTRINSIC_VALUE)
+        assert v == (v.amount, 5, ValuationKind.INTRINSIC_VALUE)
+        with pytest.raises(AttributeError):
+            v.amount = 0.0
+        for point in (present_cost(REF_ASSET, R20), delayed_present_cost(REF_ASSET, R20, 5)):
+            assert tuple(point) == (point.amount, point.age, point.kind)
+
 
 class TestLongLifetimes:
     """(1+r)^lifetime does not fit a double at these points; V, D and P do."""

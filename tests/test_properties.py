@@ -1,5 +1,5 @@
-"""Properties checked with Hypothesis: the closed forms over wide input
-ranges, and the CLI's JSON writer against the json module.
+"""Properties checked with Hypothesis: the closed forms and schedules over
+wide input ranges, and the CLI's JSON writer against the json module.
 
 Ranges: cost in [1e-6, 1e12], lifetime in [1e-3, 1e6], rate in [0, 1e3],
 rate 0 and subnormal rates included. Each range is drawn both uniformly
@@ -23,6 +23,7 @@ from assetval import (
     build_schedule,
     intrinsic_value,
     present_cost,
+    trade_surplus,
 )
 from assetval.cli import _write_json
 
@@ -91,6 +92,44 @@ def test_intrinsic_schedule(cost, lifetime, rate):
         assert abs(row.book_value - want) <= 1e-12 * cost
     last = rows[-1].book_value
     assert last == 0.0 and math.copysign(1.0, last) == 1.0
+
+
+@SETTINGS
+@given(costs, lifetimes, rates, rates, fractions)
+@example(100.0, 10.0, 0.05, 0.2, 0.5)
+@example(100.0, 1.0, 0.0, 5e-324, 0.5)
+@example(2.0, 142.0, 147.0, 0.5, 0.5)
+@example(10849791.899191914, 0.5441594255139138, 0.02124053242275997, 0.021240532422759972,
+         0.285597595784823)
+def test_trade_surplus_sign_and_endpoints(cost, lifetime, seller_rate, buyer_rate, fraction):
+    """The sign holds up to rounding: at rates an ulp apart the two values
+    can cross by an ulp of cost (the last example: -9.3e-10 at cost 1.1e7)."""
+    asset, seller, buyer = AssetSpec(cost, lifetime), DiscountRate(seller_rate), DiscountRate(buyer_rate)
+    age = age_at(asset, fraction)
+    surplus = trade_surplus(asset, age, seller, buyer)
+    assert surplus == intrinsic_value(asset, buyer, age).amount - intrinsic_value(asset, seller, age).amount
+    slack = 1e-12 * cost
+    if buyer_rate > seller_rate:
+        assert surplus >= -slack
+    elif buyer_rate < seller_rate:
+        assert surplus <= slack
+    else:
+        assert surplus == 0.0
+    assert trade_surplus(asset, 0.0, seller, buyer) == 0.0
+    assert trade_surplus(asset, lifetime, seller, buyer) == 0.0
+
+
+@SETTINGS
+@given(costs, st.integers(1, 3000),
+       st.sampled_from([Method.STRAIGHT_LINE, Method.DOUBLE_DECLINING, Method.SUM_OF_YEARS]))
+@example(100.0, 1, Method.DOUBLE_DECLINING)
+@example(100.0, 2, Method.DOUBLE_DECLINING)
+@example(1e12, 3000, Method.SUM_OF_YEARS)
+def test_classical_schedule_book_never_negative_or_rising(cost, lifetime, method):
+    books = [cost] + [row.book_value for row in build_schedule(AssetSpec(cost, lifetime), method).rows]
+    assert len(books) == lifetime + 1
+    assert all(book >= 0.0 for book in books)
+    assert all(later <= earlier for earlier, later in zip(books, books[1:]))
 
 
 @SETTINGS

@@ -74,6 +74,19 @@ class TestBuildSchedule:
         assert ddb_total == pytest.approx(-100 * (1 - 0.8**10), rel=1e-12)
 
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_rows_are_immutable_named_tuples(self, method):
+        sched = build_schedule(ASSET, method, R20)
+        row = sched.rows[0]
+        period, expense, book = row
+        assert (period, expense, book) == (1, row.expense, row.book_value)
+        with pytest.raises(AttributeError):
+            row.book_value = 0.0
+        again = build_schedule(AssetSpec(cost=100, lifetime=10), method, DiscountRate(0.2))
+        assert again.rows == sched.rows
+        assert hash(again.rows) == hash(sched.rows)
+
+
 class TestCompareMethods:
     def test_aligned_report(self):
         report = compare_methods(ASSET, ALL_METHODS, R20)
