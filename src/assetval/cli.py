@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,6 +48,11 @@ class CliError(InvalidInput):
 def fmt_money(x: float) -> str:
     s = f"{x:.4f}"
     return "0.0000" if s == "-0.0000" else s
+
+
+def _money(x: float) -> float:
+    """x rounded for JSON as fmt_money rounds it, zero without a sign."""
+    return round(x, 4) + 0.0
 
 
 def _parse_number(token: str, flag: str) -> float:
@@ -78,12 +84,9 @@ def parse_asset(cost_token: str, life_token: str) -> AssetSpec:
     return AssetSpec(cost=cost, lifetime=life)
 
 
-def _envelope(command: str, payload: dict, deterministic: bool) -> dict:
-    env: dict = {"tool_version": __version__, "command": command}
-    if not deterministic:
-        env["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    env["payload"] = payload
-    return env
+def _split(text: str) -> list[str]:
+    """The non-blank items of a comma list, stripped."""
+    return [t.strip() for t in text.split(",") if t.strip()]
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -133,7 +136,11 @@ def _write_json(write, obj, pad: str = "\n") -> None:
 
 
 def _emit_json(out, command: str, payload: dict, deterministic: bool) -> None:
-    _write_json(out.write, _envelope(command, payload, deterministic))
+    env: dict = {"tool_version": __version__, "command": command}
+    if not deterministic:
+        env["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    env["payload"] = payload
+    _write_json(out.write, env)
     out.write("\n")
 
 
@@ -144,18 +151,14 @@ def _emit_csv(out, header: list[str], rows: Iterable[list[str]]) -> None:
 
 
 def _emit_table(out, header: list[str], rows: list[list[str]]) -> None:
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     out.write("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip() + "\n")
     for row in rows:
         out.write("  ".join(c.rjust(widths[i]) for i, c in enumerate(row)) + "\n")
 
 
 def _render(out, args, command: str, header: list[str], rows: Iterable[Sequence[str | float]],
-            payload: dict, *, labels: list[str] | None = None,
-            errors: list[dict] | None = None) -> None:
+            payload: dict, *, labels: list[str] | None = None) -> None:
     """Write one command's result in the format --format names.
 
     header and rows are the table; each row holds strings and money as
@@ -163,18 +166,14 @@ def _render(out, args, command: str, header: list[str], rows: Iterable[Sequence[
     payload is what --format json writes; an iterator in it (batch's
     entries) is written item by item. With labels (value, surplus: always
     one row), --format table prints one line per column, the label and the
-    cell, or the bare cell where the label is empty. errors marks
-    a batch report: its table format is the JSON report, and with CSV its
-    record errors go to stderr, one "id: reason" line each.
+    cell, or the bare cell where the label is empty.
     """
-    if args.format == "json" or (args.format == "table" and errors is not None):
+    if args.format == "json":
         _emit_json(out, command, payload, args.deterministic)
         return
     cells = ([c if isinstance(c, str) else fmt_money(c) for c in row] for row in rows)
     if args.format == "csv":
         _emit_csv(out, header, cells)
-        for err in errors or ():
-            print(f"{err['id']}: {err['reason']}", file=sys.stderr)
     elif labels is not None:
         width = max(map(len, labels))
         for label, cell in zip(labels, next(cells)):
@@ -185,12 +184,8 @@ def _render(out, args, command: str, header: list[str], rows: Iterable[Sequence[
 
 def _schedule_json(sched) -> list[dict]:
     return [
-        {
-            "period": r.period,
-            "expense": round(r.expense, 4),
-            "book_value": round(r.book_value, 4),
-        }
-        for r in sched.rows
+        {"period": period, "expense": _money(expense), "book_value": _money(book)}
+        for period, expense, book in sched.rows
     ]
 
 
@@ -202,18 +197,12 @@ def cmd_value(args, out) -> int:
     rate = parse_rate(args.rate, "--rate")
     age = _parse_number(args.age, "--age")
     value = intrinsic_value(asset, rate, age).amount
-    detail = {}
-    if args.detail:
-        detail = {
-            "present_cost": present_cost(asset, rate).amount,
-            "delayed_cost": delayed_present_cost(asset, rate, age).amount,
-        }
-    payload = {
-        "kind": "intrinsic_value",
-        "age": age,
-        "amount": round(value, 4),
-    }
-    payload.update({k: round(v, 4) for k, v in detail.items()})
+    detail = {
+        "present_cost": present_cost(asset, rate).amount,
+        "delayed_cost": delayed_present_cost(asset, rate, age).amount,
+    } if args.detail else {}
+    payload = {"kind": "intrinsic_value", "age": age, "amount": _money(value),
+               **{k: _money(v) for k, v in detail.items()}}
     _render(out, args, "value", ["value", *detail], [(value, *detail.values())], payload,
             labels=["", *detail])
     return 0
@@ -231,16 +220,14 @@ def _parse_method(token: str, flag: str) -> Method:
 def cmd_schedule(args, out) -> int:
     asset = parse_asset(args.cost, args.life)
     method = _parse_method(args.method, "--method")
-    rate = None
-    if method is Method.INTRINSIC and args.rate is not None:
-        rate = parse_rate(args.rate, "--rate")
+    rate = None if args.rate is None else parse_rate(args.rate, "--rate")
     sched = build_schedule(asset, method, rate)
     payload = {
         "method": method.value,
         "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
         "rows": _schedule_json(sched),
     }
-    if rate is not None:
+    if method is Method.INTRINSIC:  # classical schedules do not use the rate
         payload["rate"] = rate.rate
     rows = ((str(r.period), r.expense, r.book_value) for r in sched.rows)
     _render(out, args, "schedule", ["period", "expense", "book_value"], rows, payload)
@@ -249,16 +236,16 @@ def cmd_schedule(args, out) -> int:
 
 def cmd_compare(args, out) -> int:
     asset = parse_asset(args.cost, args.life)
-    tokens = [t.strip() for t in args.methods.split(",") if t.strip()]
+    tokens = _split(args.methods)
     methods = [_parse_method(t, "--methods") for t in tokens]
-    rate = parse_rate(args.rate, "--rate") if args.rate is not None else None
+    rate = None if args.rate is None else parse_rate(args.rate, "--rate")
     report = compare_methods(asset, methods, rate)
     periods = range(1, len(report.schedules[0].rows) + 1)
     payload = {
         "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
         "periods": list(periods),
         "book_values": {
-            tok: [round(r.book_value, 4) for r in s.rows]
+            tok: [_money(r.book_value) for r in s.rows]
             for tok, s in zip(tokens, report.schedules)
         },
     }
@@ -271,7 +258,7 @@ def cmd_compare(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     asset = parse_asset(args.cost, args.life)
-    tokens = [t.strip() for t in args.rates.split(",") if t.strip()]
+    tokens = _split(args.rates)
     rates = [parse_rate(t, "--rates") for t in tokens]
     report = rate_sweep(asset, rates)
     gaps = [chord_gap(asset, r) for r in rates]
@@ -280,11 +267,8 @@ def cmd_sweep(args, out) -> int:
         "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
         "ages": list(ages),
         "rates": [r.rate for r in rates],
-        "values": {
-            tok: [round(v, 4) for v in report.values[i]]
-            for i, tok in enumerate(tokens)
-        },
-        "chord_gap": {tok: round(g, 4) for tok, g in zip(tokens, gaps)},
+        "values": {tok: [_money(v) for v in vals] for tok, vals in zip(tokens, report.values)},
+        "chord_gap": {tok: _money(g) for tok, g in zip(tokens, gaps)},
     }
     rows = [[str(a)] + [values[a] for values in report.values] for a in ages]
     rows.append(["chord_gap"] + gaps)
@@ -304,9 +288,9 @@ def cmd_surplus(args, out) -> int:
         "age": age,
         "seller_rate": seller.rate,
         "buyer_rate": buyer.rate,
-        "buyer_value": round(buyer_value, 4),
-        "seller_value": round(seller_value, 4),
-        "surplus": round(surplus, 4),
+        "buyer_value": _money(buyer_value),
+        "seller_value": _money(seller_value),
+        "surplus": _money(surplus),
     }
     header = ["buyer_value", "seller_value", "surplus"]
     _render(out, args, "surplus", header, [(buyer_value, seller_value, surplus)], payload,
@@ -316,7 +300,7 @@ def cmd_surplus(args, out) -> int:
 
 # ------------------------------------------------------------------ batch
 
-REGISTRY_FIELDS = ("id", "cost", "lifetime", "rate", "age")
+REGISTRY_FIELDS = ("id", "cost", "lifetime", "rate")  # age is optional
 
 
 def _load_registry(path: Path) -> list[dict]:
@@ -326,17 +310,14 @@ def _load_registry(path: Path) -> list[dict]:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
-            missing = [f for f in REGISTRY_FIELDS[:4] if f not in header]
+            missing = [f for f in REGISTRY_FIELDS if f not in header]
             if missing:
                 raise CliError(
                     f"--input: registry header missing column(s) {', '.join(missing)}"
                 )
             return list(reader)
     if suffix == ".json":
-        try:
-            records = json.loads(path.read_text(encoding="utf-8-sig"))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"--input: invalid JSON registry ({exc})") from None
+        records = json.loads(path.read_text(encoding="utf-8-sig"))
         if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
             raise CliError("--input: JSON registry must be an array of objects")
         return records
@@ -363,16 +344,13 @@ def _batch_record(record: dict) -> dict:
     asset = AssetSpec(cost=cost, lifetime=lifetime)
     rate = parse_rate(_required(record, "rate"), "rate")
     age_token = record.get("age")
-    if age_token in (None, ""):
-        age = 0.0
-    else:
-        age = _parse_number(str(age_token), "age")
+    age = 0.0 if age_token in (None, "") else _parse_number(str(age_token), "age")
     value = intrinsic_value(asset, rate, age).amount
     sched = build_schedule(asset, Method.INTRINSIC, rate)
     return {
         "id": record["id"],
         "age": age,
-        "value": round(value, 4),
+        "value": _money(value),
         "schedule": _schedule_json(sched),
     }
 
@@ -387,6 +365,9 @@ def cmd_batch(args, out) -> int:
         records = _load_registry(Path(args.input))
     except OSError as exc:
         raise CliError(f"--input: cannot read {args.input!r} ({exc.strerror or exc})") from None
+    except (ValueError, csv.Error, RecursionError) as exc:
+        # not UTF-8, not JSON, a CSV cell over csv.field_size_limit(), or JSON nested too deep
+        raise CliError(f"--input: cannot parse {args.input!r} ({exc})") from None
 
     errors: list[dict] = []
 
@@ -413,19 +394,49 @@ def cmd_batch(args, out) -> int:
         for e in entries
         for r in e["schedule"]
     )
-    sink = open(args.output, "w") if args.output else out
-    try:
+    if args.format == "table":  # a batch report has no table layout
+        args.format = "json"
+    with open(args.output, "w") if args.output else nullcontext(out) as sink:
         # JSON writes "errors" after "entries" and CSV prints it after the
         # rows, so the list is complete by the time it is written.
         _render(sink, args, "batch", ["id", "value", "period", "expense", "book_value"], rows,
-                {"entries": entries, "errors": errors}, errors=errors)
-    finally:
-        if args.output:
-            sink.close()
+                {"entries": entries, "errors": errors})
+    if args.format == "csv":
+        for err in errors:
+            print(f"{err['id']}: {err['reason']}", file=sys.stderr)
     return 3 if errors else 0
 
 
 # ------------------------------------------------------------------ parser
+
+REQUIRED = {"required": True}
+ASSET_FLAGS = {"--cost": REQUIRED, "--life": REQUIRED}
+
+# name -> (help, {flag: add_argument options}); main runs cmd_<name>.
+COMMANDS = {
+    "value": ("intrinsic value at an age", {
+        **ASSET_FLAGS, "--rate": REQUIRED, "--age": {"default": "0"},
+        "--detail": {"action": "store_true", "help": "also report present and delayed cost"},
+    }),
+    "schedule": ("per-period depreciation schedule", {
+        **ASSET_FLAGS, "--rate": {},
+        "--method": {"required": True, "help": "intrinsic, sl, ddb or syd"},
+    }),
+    "compare": ("book values across methods", {
+        **ASSET_FLAGS, "--rate": {},
+        "--methods": {"required": True, "help": "comma list of intrinsic, sl, ddb, syd"},
+    }),
+    "sweep": ("intrinsic value across discount rates", {
+        **ASSET_FLAGS, "--rates": {"required": True, "help": "comma list of per-period rates"},
+    }),
+    "surplus": ("buyer/seller valuation gap", {
+        **ASSET_FLAGS, "--age": REQUIRED, "--seller-rate": REQUIRED, "--buyer-rate": REQUIRED,
+    }),
+    "batch": ("process an asset registry file", {
+        "--input": {"required": True, "help": "CSV or JSON registry of assets"},
+        "--output": {"help": "report file (default: stdout)"},
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,57 +454,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("value", parents=[common], help="intrinsic value at an age")
-    p.add_argument("--cost", required=True)
-    p.add_argument("--life", required=True)
-    p.add_argument("--rate", required=True)
-    p.add_argument("--age", default="0")
-    p.add_argument("--detail", action="store_true", help="also report present and delayed cost")
-    p.set_defaults(handler=cmd_value)
-
-    p = sub.add_parser("schedule", parents=[common], help="per-period depreciation schedule")
-    p.add_argument("--cost", required=True)
-    p.add_argument("--life", required=True)
-    p.add_argument("--rate")
-    p.add_argument("--method", required=True, help="intrinsic, sl, ddb or syd")
-    p.set_defaults(handler=cmd_schedule)
-
-    p = sub.add_parser("compare", parents=[common], help="book values across methods")
-    p.add_argument("--cost", required=True)
-    p.add_argument("--life", required=True)
-    p.add_argument("--rate")
-    p.add_argument("--methods", required=True, help="comma list of intrinsic, sl, ddb, syd")
-    p.set_defaults(handler=cmd_compare)
-
-    p = sub.add_parser("sweep", parents=[common], help="intrinsic value across discount rates")
-    p.add_argument("--cost", required=True)
-    p.add_argument("--life", required=True)
-    p.add_argument("--rates", required=True, help="comma list of per-period rates")
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("surplus", parents=[common], help="buyer/seller valuation gap")
-    p.add_argument("--cost", required=True)
-    p.add_argument("--life", required=True)
-    p.add_argument("--age", required=True)
-    p.add_argument("--seller-rate", required=True)
-    p.add_argument("--buyer-rate", required=True)
-    p.set_defaults(handler=cmd_surplus)
-
-    p = sub.add_parser("batch", parents=[common], help="process an asset registry file")
-    p.add_argument("--input", required=True, help="CSV or JSON registry of assets")
-    p.add_argument("--output", help="report file (default: stdout)")
-    p.set_defaults(handler=cmd_batch)
-
+    for name, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: list[str] | None = None, out: io.TextIOBase | None = None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.handler(args, out)
+        # looked up at call time, so a wrapper set on the module takes effect
+        code = globals()[f"cmd_{args.command}"](args, out)
         out.flush()
         return code
     except InvalidInput as exc:

@@ -27,22 +27,16 @@ class ScheduleRow(NamedTuple):
 
 @dataclass(frozen=True)
 class Schedule:
-    method: Method
-    rate: DiscountRate | None
-    asset: AssetSpec
     rows: tuple[ScheduleRow, ...]
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    asset: AssetSpec
-    schedules: tuple[Schedule, ...]
+    schedules: tuple[Schedule, ...]  # in the order of the methods asked for
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    asset: AssetSpec
-    rates: tuple[DiscountRate, ...]
     values: tuple[tuple[float, ...], ...]  # values[rate_index][age]
 
 
@@ -64,7 +58,7 @@ def build_schedule(
     """
     life = _as_period(asset.lifetime, "lifetime")
     if method is not Method.INTRINSIC:
-        rate, book_at, drop = None, partial(_CLASSIC_BOOK[method], asset), None
+        book_at, drop = partial(_CLASSIC_BOOK[method], asset), None
     elif rate is None:
         raise MissingRate("intrinsic schedules require a discount rate", field="rate")
     else:
@@ -74,7 +68,7 @@ def build_schedule(
         book = book_at(n)
         rows.append(ScheduleRow(n, drop(n - 1, n) if drop else book - prev, book))
         prev = book
-    return Schedule(method=method, rate=rate, asset=asset, rows=tuple(rows))
+    return Schedule(tuple(rows))
 
 
 def compare_methods(
@@ -83,8 +77,7 @@ def compare_methods(
     """Aligned schedules for several methods over the same asset."""
     if not methods:
         raise InvalidInput("at least one method is required", field="methods")
-    schedules = tuple(build_schedule(asset, m, rate) for m in methods)
-    return ComparisonReport(asset=asset, schedules=schedules)
+    return ComparisonReport(tuple(build_schedule(asset, m, rate) for m in methods))
 
 
 def rate_sweep(asset: AssetSpec, rates: list[DiscountRate]) -> SweepReport:
@@ -93,7 +86,7 @@ def rate_sweep(asset: AssetSpec, rates: list[DiscountRate]) -> SweepReport:
         raise InvalidInput("at least one rate is required", field="rates")
     life = _as_period(asset.lifetime, "lifetime")
     values = tuple(tuple(map(_value_curve(asset, r), range(life + 1))) for r in rates)
-    return SweepReport(asset=asset, rates=tuple(rates), values=values)
+    return SweepReport(values)
 
 
 def chord_gap(asset: AssetSpec, rate: DiscountRate) -> float:

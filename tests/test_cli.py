@@ -129,6 +129,15 @@ class TestSchedule:
         assert code == 2
         assert "macrs" in capsys.readouterr().err
 
+    def test_classical_method_checks_rate_but_does_not_use_it(self, capsys):
+        args = ("schedule", "--cost", "100", "--life", "10", "--method", "sl")
+        code, _ = run(*args, "--rate", "abc")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --rate: ")
+        for fmt in ("table", "csv", "json"):
+            fixed = ("--format", fmt, "--deterministic")
+            assert run(*args, "--rate", "0.2", *fixed) == run(*args, *fixed)
+
     def test_csv_round_trip_recurrence(self):
         _, out = run(
             "schedule", "--cost", "100", "--life", "10", "--rate", "0.2",

@@ -2,8 +2,10 @@
 
 Each valid case runs `assetval` in process with --deterministic and
 compares stdout and the exit code byte for byte with `cli_golden.txt`.
-Error cases check the exit code, an empty stdout and that stderr names
-the flag at fault; their wording is free to change.
+The --help text of `assetval` and of each subcommand, at 80 columns, is
+compared the same way with `cli_help.txt`. Error cases check the exit
+code, an empty stdout and that stderr names the flag at fault; their
+wording is free to change.
 
 After an intended change of output, rewrite the goldens and review the
 diff:
@@ -15,16 +17,19 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import tempfile
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from assetval.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.txt")
+HELP_GOLDEN = Path(__file__).with_name("cli_help.txt")
 FORMATS = ("table", "csv", "json")
 
 GOOD_CSV = """\
@@ -96,6 +101,12 @@ REGISTRIES = {
     "bad_header.csv": "name,price\nx,1\n",
     "broken.json": "[{",
     "assets.xml": "<assets/>",
+    "latin1.csv": b"id,cost,lifetime,rate,age\ncaf\xe9,100,10,0.2,0\n",
+    "latin1.json": b'[{"id": "caf\xe9", "cost": 100, "lifetime": 10, "rate": 0.2}]',
+    # one cell over csv's default field size limit of 131,072 characters
+    "huge_cell.csv": "id,cost,lifetime,rate,age\n" + "x" * 131_073 + ",100,10,0.2,0\n",
+    # nested deeper than the json module's recursion limit
+    "deep.json": "[" * 100_000 + "]" * 100_000,
 }
 
 ASSET = ["--cost", "100", "--life", "10"]
@@ -119,6 +130,9 @@ VALID = {
     "schedule-life1-sl": ["schedule", "--cost", "100", "--life", "1", "--method", "sl"],
     "schedule-life1-ddb": ["schedule", "--cost", "100", "--life", "1", "--method", "ddb"],
     "schedule-life1-syd": ["schedule", "--cost", "100", "--life", "1", "--method", "syd"],
+    # expenses that round to zero from below
+    "schedule-tiny-expenses": ["schedule", "--cost", "100", "--life", "40", "--rate", "30",
+                               "--method", "intrinsic"],
     "compare": ["compare", *ASSET, "--rate", "0.2", "--methods", "intrinsic,sl,ddb,syd"],
     "compare-rate0": ["compare", *ASSET, "--rate", "0", "--methods", "syd, intrinsic"],
     "compare-classic": ["compare", *ASSET, "--methods", "ddb,sl"],
@@ -180,7 +194,16 @@ ERRORS = {
     "batch-bad-header": (["batch", "--input", "{dir}/bad_header.csv"], "--input"),
     "batch-broken-json": (["batch", "--input", "{dir}/broken.json"], "--input"),
     "batch-extension": (["batch", "--input", "{dir}/assets.xml"], "--input"),
+    "batch-latin1-csv": (["batch", "--input", "{dir}/latin1.csv"], "--input"),
+    "batch-latin1-json": (["batch", "--input", "{dir}/latin1.json"], "--input"),
+    "batch-huge-cell": (["batch", "--input", "{dir}/huge_cell.csv"], "--input"),
+    "batch-deep-json": (["batch", "--input", "{dir}/deep.json"], "--input"),
 }
+
+
+# --help of the program and of each subcommand
+HELP = {"assetval": [], **{name: [name] for name in
+                           ("value", "schedule", "compare", "sweep", "surplus", "batch")}}
 
 
 def valid_cases() -> dict[str, list[str]]:
@@ -193,16 +216,26 @@ def valid_cases() -> dict[str, list[str]]:
 
 def run(argv: list[str], workdir: Path) -> tuple[int, str, str]:
     for name, text in REGISTRIES.items():
-        (workdir / name).write_text(text)
+        (workdir / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     out, err = io.StringIO(), io.StringIO()
     with redirect_stderr(err):
         code = main([a.replace("{dir}", str(workdir)) for a in argv], out=out)
     return code, out.getvalue(), err.getvalue()
 
 
-def load_golden() -> dict[str, tuple[int, str]]:
+def run_help(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out):
+        try:
+            main([*argv, "--help"])
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+    raise AssertionError(f"--help did not exit: {argv}")
+
+
+def load_golden(path: Path = GOLDEN) -> dict[str, tuple[int, str]]:
     # "### <case> exit <code>" lines, each followed by that case's stdout
-    parts = re.split(r"^### (\S+) exit (\d+)\n", GOLDEN.read_text(), flags=re.M)
+    parts = re.split(r"^### (\S+) exit (\d+)\n", path.read_text(), flags=re.M)
     blocks = zip(parts[1::3], parts[2::3], parts[3::3])
     return {case: (int(code), stdout) for case, code, stdout in blocks}
 
@@ -214,6 +247,9 @@ def write_golden() -> None:
             code, stdout, _ = run(argv, Path(tmp))
             blocks.append(f"### {case} exit {code}\n{stdout}")
     GOLDEN.write_text("".join(blocks))
+    HELP_GOLDEN.write_text("".join(
+        "### {} exit {}\n{}".format(case, *run_help(argv)) for case, argv in HELP.items()
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +265,11 @@ def test_golden_covers_every_case(golden):
 def test_output_matches_golden(case, golden, tmp_path):
     code, stdout, _ = run(valid_cases()[case], tmp_path)
     assert (code, stdout) == golden[case]
+
+
+@pytest.mark.parametrize("case", list(HELP))
+def test_help_matches_golden(case):
+    assert run_help(HELP[case]) == load_golden(HELP_GOLDEN)[case]
 
 
 @pytest.mark.parametrize("case", list(ERRORS))

@@ -1,5 +1,7 @@
 """Properties checked with Hypothesis: the closed forms and schedules over
-wide input ranges, and the CLI's JSON writer against the json module.
+wide input ranges, the CLI's JSON writer against the json module, bad
+command-line and registry tokens against exit code 1, and CSV cells
+against the JSON payload.
 
 Ranges: cost in [1e-6, 1e12], lifetime in [1e-3, 1e6], rate in [0, 1e3],
 rate 0 and subnormal rates included. Each range is drawn both uniformly
@@ -7,12 +9,16 @@ and log-uniformly, so that small magnitudes are reached as often as large
 ones. Runs are derandomized, so the suite is deterministic.
 """
 
+import csv
 import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from assetval import (
@@ -25,7 +31,7 @@ from assetval import (
     present_cost,
     trade_surplus,
 )
-from assetval.cli import _write_json
+from assetval.cli import COMMANDS, METHOD_TOKENS, _write_json, main
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -186,3 +192,141 @@ def test_json_writer_matches_json_module(obj):
     want = json.dumps(obj, indent=2)
     assert written(obj) == want
     assert written(as_generators(obj)) == want
+
+
+def invoke(argv):
+    """(exit code, stdout) of assetval in process; argparse's exits included."""
+    out = io.StringIO()
+    with redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv, out=out)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def parses_above(token, limit):
+    try:
+        return abs(float(token)) > limit
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+# A valid token for every flag of COMMANDS that takes one; "{dir}" is a
+# scratch directory holding a valid registry.
+GOOD_TOKENS = {
+    "--cost": "100", "--life": "10", "--rate": "0.2", "--age": "5", "--method": "intrinsic",
+    "--methods": "intrinsic,sl", "--rates": "0.05,20%", "--seller-rate": "0.05",
+    "--buyer-rate": "0.2", "--input": "{dir}/good.csv", "--output": "{dir}/report.json",
+}
+GOOD_REGISTRY = "id,cost,lifetime,rate,age\nforklift,100,10,0.2,5\n"
+FLAGS = [(name, flag) for name, (_, flags) in COMMANDS.items()
+         for flag, options in flags.items() if options.get("action") != "store_true"]
+bad_tokens = (
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=12)
+    | st.floats().map(repr)
+    | st.floats().map(lambda x: f"{x}%")
+    | st.integers(-(10**6), 10**30).map(str)
+    | st.sampled_from(["", " ", "%", "-0", "1e309", "-1e-320", "nan%", "0x10", "1_0", "\u0663",
+                       ",", "sl,,", "intrinsic, sl", "{}", "[1]", "null", "true"])
+)
+
+
+def test_every_flag_has_a_good_token():
+    assert {flag for _, flag in FLAGS} == set(GOOD_TOKENS)
+
+
+# --life stays at most 1e4 (tokens that parse above it are skipped): a
+# schedule holds all its rows in memory, so a long one would only measure
+# memory, not exit codes.
+@SETTINGS
+@given(st.sampled_from(FLAGS), bad_tokens, st.sampled_from(["table", "csv", "json"]))
+@example(("schedule", "--rate"), "abc", "table")
+@example(("batch", "--output"), "missing/report.json", "json")
+def test_bad_flag_token_never_exits_1(case, token, fmt):
+    command, bad_flag = case
+    assume(bad_flag != "--life" or not parses_above(token, 1e4))
+    if bad_flag in ("--input", "--output"):  # a path inside the scratch directory
+        assume(".." not in token)
+        token = "{dir}/" + token
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "good.csv").write_text(GOOD_REGISTRY)
+        tokens = {flag: GOOD_TOKENS[flag] for flag in COMMANDS[command][1] if flag in GOOD_TOKENS}
+        tokens[bad_flag] = token
+        argv = [f"{flag}={value.replace('{dir}', tmp)}" for flag, value in tokens.items()]
+        code, _ = invoke([command, *argv, "--format", fmt])
+    assert code in (0, 2, 3)
+
+
+# A registry of one record whose field holds the token: a CSV cell, or a
+# JSON value (the token's own JSON value where it is one, else a string).
+@SETTINGS
+@given(st.sampled_from(["id", "cost", "lifetime", "rate", "age"]), bad_tokens,
+       st.sampled_from([".csv", ".json"]))
+@example("cost", "x" * 200_000, ".csv")
+@example("lifetime", "[1]", ".json")
+def test_bad_registry_token_never_exits_1(field, token, suffix):
+    record = {"id": "a", "cost": "100", "lifetime": "10", "rate": "0.2", "age": "5"}
+    if suffix == ".json":
+        try:
+            token = json.loads(token)
+        except ValueError:
+            pass
+    record[field] = token
+    assume(field != "lifetime" or not parses_above(token, 1e4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "registry" + suffix)
+        if suffix == ".csv":
+            with path.open("w", newline="") as fh:
+                csv.writer(fh).writerows([record, record.values()])
+        else:
+            path.write_text(json.dumps([record]))
+        code, _ = invoke(["batch", "--input", str(path)])
+    assert code in (0, 2, 3)
+
+
+def same_cell(cell, value):
+    """The CSV cell holds the JSON value: the same float, sign of zero included."""
+    if isinstance(value, float):
+        x = float(cell)
+        return x == value and math.copysign(1.0, x) == math.copysign(1.0, value)
+    return cell == str(value)
+
+
+# Each command's JSON payload as the rows of its CSV output, given the CSV
+# header: a method or rate token listed twice heads two equal CSV columns
+# but is one key of the payload.
+PAYLOAD_ROWS = {
+    "value": lambda p, header: [[p["amount"], *(p[k] for k in header[1:])]],
+    "schedule": lambda p, header: [[r[k] for k in header] for r in p["rows"]],
+    "compare": lambda p, header: [[n, *(p["book_values"][t][i] for t in header[1:])]
+                                  for i, n in enumerate(p["periods"])],
+    "sweep": lambda p, header: [[a, *(p["values"][t][a] for t in header[1:])] for a in p["ages"]]
+    + [["chord_gap", *(p["chord_gap"][t] for t in header[1:])]],
+    "surplus": lambda p, header: [[p[k] for k in header]],
+}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(PAYLOAD_ROWS)), st.sampled_from(sorted(METHOD_TOKENS)), costs,
+       st.integers(1, 60), rates, rates, fractions)
+@example("schedule", "intrinsic", 100.0, 40, 30.0, 0.0, 0.0)
+@example("value", "intrinsic", 1e-6, 10, 0.2, 0.0, 0.5)
+def test_csv_cells_match_json_payload(command, method, cost, life, rate, other, fraction):
+    asset = ["--cost", repr(cost), "--life", str(life)]
+    age = repr(fraction * life)
+    argv = {
+        "value": [*asset, "--rate", repr(rate), "--age", age, "--detail"],
+        "schedule": [*asset, "--rate", repr(rate), "--method", method],
+        "compare": [*asset, "--rate", repr(rate), "--methods", ",".join(METHOD_TOKENS)],
+        "sweep": [*asset, "--rates", f"{rate!r},{other!r}"],
+        "surplus": [*asset, "--age", age, "--seller-rate", repr(rate), "--buyer-rate", repr(other)],
+    }[command]
+    code, text = invoke([command, *argv, "--format", "csv"])
+    assume(code == 0)  # value --detail rejects rate 0 and present costs beyond a double
+    header, *cells = csv.reader(io.StringIO(text))
+    code, text = invoke([command, *argv, "--format", "json", "--deterministic"])
+    assert code == 0
+    values = PAYLOAD_ROWS[command](json.loads(text)["payload"], header)
+    assert [len(row) for row in cells] == [len(row) for row in values]
+    assert all(same_cell(c, v) for row, want in zip(cells, values) for c, v in zip(row, want))
