@@ -58,4 +58,4 @@ def sum_of_years_book_value(asset: AssetSpec, age: float) -> float:
     check_age(asset, a)
     digits = life * (life + 1) // 2
     used = a * life - a * (a - 1) // 2
-    return asset.cost * (digits - used) / digits
+    return asset.cost * ((digits - used) / digits)  # cost * (digits - used) can overflow

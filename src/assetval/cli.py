@@ -16,7 +16,9 @@ a header row.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -439,7 +441,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _template() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process on first use."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
     common.add_argument(
@@ -459,6 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in flags.items():
             p.add_argument(flag, **options)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser over the one argparse tree the process builds.
+
+    The copy's own attributes are a shallow copy of the tree's, so an
+    attribute set on it (a wrapped parse_args, say) stays on it, while its
+    actions and subparsers are shared: use it to parse, never extend it.
+    Parsing writes only to the Namespace it returns.
+    """
+    return copy.copy(_template())
 
 
 def main(argv: list[str] | None = None, out: io.TextIOBase | None = None) -> int:

@@ -203,7 +203,7 @@ def intrinsic_depreciation(
     g, e = _discount(asset, rate)
     span = age_end - age_start
     if not e:
-        return -asset.cost * span / asset.lifetime
+        return -asset.cost * (span / asset.lifetime)  # cost * span can overflow
     return -asset.cost * math.exp(-(asset.lifetime - age_end) * g) * math.expm1(-span * g) / e
 
 

@@ -64,6 +64,13 @@ class TestSumOfYears:
         with pytest.raises(NonIntegerPeriod):
             sum_of_years_book_value(ASSET, 0.5)
 
+    def test_largest_cost_stays_finite(self):
+        # cost * (digits - used) overflowed here, before the division by digits
+        asset = AssetSpec(cost=1.7e308, lifetime=3)
+        assert [sum_of_years_book_value(asset, a) for a in range(4)] == [
+            1.7e308, 1.7e308 * (3 / 6), 1.7e308 * (1 / 6), 0.0,
+        ]
+
 
 @pytest.mark.parametrize(
     "book_fn",

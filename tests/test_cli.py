@@ -138,6 +138,14 @@ class TestSchedule:
             fixed = ("--format", fmt, "--deterministic")
             assert run(*args, "--rate", "0.2", *fixed) == run(*args, *fixed)
 
+    def test_syd_at_largest_cost_is_valid_json(self):
+        code, out = run("schedule", "--cost", "1.7e308", "--life", "3", "--method", "syd",
+                        "--format", "json", "--deterministic")
+        assert code == 0
+        rows = json.loads(out, parse_constant=pytest.fail)["payload"]["rows"]
+        assert [r["book_value"] for r in rows] == [8.5e307, 1.7e308 * (1 / 6), 0.0]
+        assert all(-1.7e308 <= r["expense"] <= 0 for r in rows)
+
     def test_csv_round_trip_recurrence(self):
         _, out = run(
             "schedule", "--cost", "100", "--life", "10", "--rate", "0.2",
@@ -191,6 +199,14 @@ class TestCompare:
         assert code == 2
         assert out == ""
         assert "bogus" in capsys.readouterr().err
+
+    def test_syd_at_huge_cost_stays_finite(self):
+        code, out = run("compare", "--cost", "1e306", "--life", "40", "--methods", "syd",
+                        "--format", "csv")
+        assert code == 0
+        _, rows = parse_csv(out)
+        books = [float(book) for _, book in rows]
+        assert all(0.0 <= b <= 1e306 for b in books) and books[-1] == 0.0
 
     def test_singleton(self):
         code, out = run(

@@ -197,6 +197,10 @@ class TestIntrinsicDepreciation:
         dv = intrinsic_depreciation(REF_ASSET, DiscountRate(0), 2, 4)
         assert dv == pytest.approx(-20, rel=1e-12)
 
+    def test_rate_zero_at_largest_cost_stays_finite(self):
+        # cost * span overflowed here, before the division by the lifetime
+        assert intrinsic_depreciation(AssetSpec(1.7e308, 3), DiscountRate(0), 0, 3) == -1.7e308
+
     def test_tiny_span_at_rate_zero_is_exact(self):
         # V(1e-10) - V(0) would keep only about 5 significant digits here
         assert intrinsic_depreciation(REF_ASSET, DiscountRate(0), 0, 1e-10) == -100 * 1e-10 / 10

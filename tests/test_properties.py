@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import sys
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -136,6 +137,18 @@ def test_classical_schedule_book_never_negative_or_rising(cost, lifetime, method
     assert len(books) == lifetime + 1
     assert all(book >= 0.0 for book in books)
     assert all(later <= earlier for earlier, later in zip(books, books[1:]))
+
+
+@SETTINGS
+@given(spread(1e-6, sys.float_info.max), st.integers(1, 3000), st.sampled_from(list(Method)), rates)
+@example(1.7e308, 3, Method.SUM_OF_YEARS, 0.0)
+@example(1.7e308, 3, Method.INTRINSIC, 0.0)
+def test_schedule_finite_at_extreme_costs(cost, lifetime, method, rate):
+    """Costs up to the largest double: formulas that multiply before they
+    divide overflow there although every book and expense fits."""
+    rows = build_schedule(AssetSpec(cost, lifetime), method, DiscountRate(rate)).rows
+    assert all(math.isfinite(row.book_value) and 0.0 <= row.book_value <= cost for row in rows)
+    assert all(math.isfinite(row.expense) and row.expense <= 0.0 for row in rows)
 
 
 @SETTINGS
