@@ -10,7 +10,6 @@ from .core import (
     AssetSpec,
     DiscountRate,
     Valuation,
-    ValuationKind,
     delayed_present_cost,
     intrinsic_depreciation,
     intrinsic_value,
@@ -43,7 +42,6 @@ __all__ = [
     "AssetSpec",
     "DiscountRate",
     "Valuation",
-    "ValuationKind",
     "Method",
     "Schedule",
     "ScheduleRow",

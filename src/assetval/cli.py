@@ -64,7 +64,7 @@ def _parse_number(token: str, flag: str) -> float:
         raise CliError(f"{flag}: cannot parse number {token!r}") from None
     if not math.isfinite(value):
         raise CliError(f"{flag}: must be finite, got {token!r}")
-    return value
+    return value + 0.0  # '-0' is zero without a sign, as JSON writes it
 
 
 def parse_rate(token: str, flag: str) -> DiscountRate:
@@ -187,7 +187,7 @@ def _render(out, args, command: str, header: list[str], rows: Iterable[Sequence[
 def _schedule_json(sched) -> list[dict]:
     return [
         {"period": period, "expense": _money(expense), "book_value": _money(book)}
-        for period, expense, book in sched.rows
+        for period, (expense, book) in enumerate(sched.rows, 1)
     ]
 
 
@@ -231,7 +231,7 @@ def cmd_schedule(args, out) -> int:
     }
     if method is Method.INTRINSIC:  # classical schedules do not use the rate
         payload["rate"] = rate.rate
-    rows = ((str(r.period), r.expense, r.book_value) for r in sched.rows)
+    rows = ((str(period), *row) for period, row in enumerate(sched.rows, 1))
     _render(out, args, "schedule", ["period", "expense", "book_value"], rows, payload)
     return 0
 
@@ -365,6 +365,8 @@ def cmd_batch(args, out) -> int:
             raise CliError(f"--output: cannot write {args.output!r} ({exc.strerror or exc})") from None
     try:
         records = _load_registry(Path(args.input))
+    except InvalidInput:  # a bad header, shape or extension, already named
+        raise
     except OSError as exc:
         raise CliError(f"--input: cannot read {args.input!r} ({exc.strerror or exc})") from None
     except (ValueError, csv.Error, RecursionError) as exc:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import NamedTuple
 
@@ -73,14 +72,8 @@ class DiscountRate:
             )
 
 
-class ValuationKind(Enum):
-    PRESENT_COST = "present_cost"
-    DELAYED_COST = "delayed_cost"
-    INTRINSIC_VALUE = "intrinsic_value"
-
-
 class Valuation(NamedTuple):
-    """A money amount attached to an asset age.
+    """The money amount of a point valuation.
 
     Present and delayed cost are expenses and carry a negative amount;
     intrinsic value lies in [0, cost]. A NamedTuple, because every point
@@ -89,23 +82,14 @@ class Valuation(NamedTuple):
     """
 
     amount: float
-    age: float
-    kind: ValuationKind
 
 
-# Read as globals by the point functions, which skips an enum attribute lookup per call.
-_PRESENT_COST = ValuationKind.PRESENT_COST
-_DELAYED_COST = ValuationKind.DELAYED_COST
-_INTRINSIC_VALUE = ValuationKind.INTRINSIC_VALUE
-
-
-def check_age(asset: AssetSpec, age: float, *, name: str = "age") -> float:
-    """Validate 0 <= age <= lifetime, returning the age."""
+def check_age(asset: AssetSpec, age: float, *, name: str = "age") -> None:
+    """Validate 0 <= age <= lifetime."""
     if not math.isfinite(age) or age < 0 or age > asset.lifetime:
         raise AgeOutOfRange(
             f"{name} must lie in [0, {asset.lifetime}], got {age!r}", field=name
         )
-    return age
 
 
 def _require_positive_rate(rate: DiscountRate) -> float:
@@ -141,8 +125,7 @@ def present_cost(asset: AssetSpec, rate: DiscountRate) -> Valuation:
     rate 0, where the perpetuity does not converge, and InvalidInput where
     the amount does not fit a double.
     """
-    amount = _chain_cost(asset, rate, 0.0, "present cost")
-    return Valuation(amount, 0.0, _PRESENT_COST)
+    return Valuation(_chain_cost(asset, rate, 0.0, "present cost"))
 
 
 def delayed_present_cost(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuation:
@@ -151,8 +134,7 @@ def delayed_present_cost(asset: AssetSpec, rate: DiscountRate, age: float) -> Va
     Equals present_cost discounted by (1+r)^(lifetime - age). Negative.
     """
     check_age(asset, age)
-    amount = _chain_cost(asset, rate, asset.lifetime - age, "delayed cost")
-    return Valuation(amount, age, _DELAYED_COST)
+    return Valuation(_chain_cost(asset, rate, asset.lifetime - age, "delayed cost"))
 
 
 def _discount(asset: AssetSpec, rate: DiscountRate) -> tuple[float, float]:
@@ -184,7 +166,7 @@ def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuati
     """
     check_age(asset, age)
     g, e = _discount(asset, rate)
-    return Valuation(_value_at(asset.cost, asset.lifetime, g, e, age), age, _INTRINSIC_VALUE)
+    return Valuation(_value_at(asset.cost, asset.lifetime, g, e, age))
 
 
 def intrinsic_depreciation(

@@ -18,9 +18,9 @@ from .errors import InvalidInput, MissingRate
 
 
 class ScheduleRow(NamedTuple):
-    """One period of a schedule; a NamedTuple, as a schedule builds one per period."""
+    """One period of a schedule (rows[i] is period i + 1); a NamedTuple,
+    as a schedule builds one per period."""
 
-    period: int  # 1-based
     expense: float  # <= 0
     book_value: float  # >= 0
 
@@ -66,7 +66,7 @@ def build_schedule(
     rows, prev = [], asset.cost
     for n in range(1, life + 1):
         book = book_at(n)
-        rows.append(ScheduleRow(n, drop(n - 1, n) if drop else book - prev, book))
+        rows.append(ScheduleRow(drop(n - 1, n) if drop else book - prev, book))
         prev = book
     return Schedule(tuple(rows))
 

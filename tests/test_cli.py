@@ -84,6 +84,12 @@ class TestValue:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.startswith("error: --rate: ")
 
+    def test_negative_zero_age_is_written_unsigned(self):
+        code, out = run("value", "--cost", "100", "--life", "10", "--rate", "0.2", "--age", "-0",
+                        "--format", "json", "--deterministic")
+        assert code == 0
+        assert '"age": 0.0,' in out and "-0.0" not in out
+
     def test_negative_cost_names_flag(self, capsys):
         code, _ = run("value", "--cost", "-5", "--life", "10", "--rate", "0.2")
         assert code == 2
@@ -157,6 +163,13 @@ class TestSchedule:
             book += float(expense)
             assert book == pytest.approx(float(book_value), abs=5e-4)
 
+    def test_negative_zero_rate_is_written_unsigned(self):
+        code, out = run("schedule", "--cost", "100", "--life", "2", "--rate", "-0",
+                        "--method", "intrinsic", "--format", "json", "--deterministic")
+        assert code == 0
+        assert json.loads(out)["payload"]["rate"] == 0.0
+        assert '"rate": 0.0' in out and "-0.0" not in out
+
     def test_closed_pipe_exits_141_quietly(self):
         # About 1.3 MB of CSV: more than a pipe buffers, so writing meets the closed pipe.
         argv = ["schedule", "--cost", "100", "--life", "50000", "--rate", "0.0001",
@@ -208,6 +221,17 @@ class TestCompare:
         books = [float(book) for _, book in rows]
         assert all(0.0 <= b <= 1e306 for b in books) and books[-1] == 0.0
 
+    def test_repeated_method_token(self):
+        """JSON keeps one column per distinct token; CSV and table keep every repeat."""
+        argv = ("compare", "--cost", "100", "--life", "3", "--rate", "0.2", "--methods", "sl,syd,sl")
+        payload = json.loads(run(*argv, "--format", "json", "--deterministic")[1])["payload"]
+        assert list(payload["book_values"]) == ["sl", "syd"]
+        header, rows = parse_csv(run(*argv, "--format", "csv")[1])
+        assert header == ["period", "sl", "syd", "sl"]
+        assert [[float(c) for c in row[1:]] for row in rows] == [
+            list(books) for books in zip(*(payload["book_values"][m] for m in ("sl", "syd", "sl")))]
+        assert run(*argv)[1].splitlines()[0].split() == ["period", "sl", "syd", "sl"]
+
     def test_singleton(self):
         code, out = run(
             "compare", "--cost", "100", "--life", "10", "--rate", "0.2",
@@ -232,6 +256,19 @@ class TestSweep:
         assert rows[10] == ["10", "0.0000", "0.0000"]
         assert rows[11][0] == "chord_gap"
         assert float(rows[11][1]) < float(rows[11][2])
+
+    def test_repeated_rate_token(self):
+        """JSON keeps one key per distinct token; CSV, table and `rates` keep every repeat."""
+        argv = ("sweep", "--cost", "100", "--life", "2", "--rates", "0.1,0.2,0.1")
+        payload = json.loads(run(*argv, "--format", "json", "--deterministic")[1])["payload"]
+        assert payload["rates"] == [0.1, 0.2, 0.1]
+        assert list(payload["values"]) == list(payload["chord_gap"]) == ["0.1", "0.2"]
+        header, rows = parse_csv(run(*argv, "--format", "csv")[1])
+        assert header == ["age", "0.1", "0.2", "0.1"]
+        assert [[float(c) for c in row[1:]] for row in rows[:-1]] == [
+            list(values) for values in zip(*(payload["values"][t] for t in ("0.1", "0.2", "0.1")))]
+        assert rows[-1][1] == rows[-1][3] != rows[-1][2]
+        assert run(*argv)[1].splitlines()[0].split() == ["age", "0.1", "0.2", "0.1"]
 
     def test_negative_rate_rejected(self, capsys):
         code, _ = run("sweep", "--cost", "100", "--life", "10", "--rates", "-0.1")
@@ -348,6 +385,26 @@ class TestBatch:
         path = self.write_registry(tmp_path, "name,price\nx,1\n")
         code, _ = run("batch", "--input", path)
         assert code == 2
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("bad.csv", "a,b\n1,2\n", "registry header missing column(s) id, cost, lifetime, rate"),
+        ("bad.json", '{"id": "a"}', "JSON registry must be an array of objects"),
+        ("bad.xml", "<assets/>", "unsupported registry extension '.xml' (use .csv or .json)"),
+    ])
+    def test_load_error_named_once(self, tmp_path, capsys, name, text, message):
+        path = self.write_registry(tmp_path, text, name=name)
+        assert run("batch", "--input", path) == (2, "")
+        assert capsys.readouterr().err == f"error: --input: {message}\n"
+
+    def test_path_with_nul_byte_exit_2(self, capsys):
+        assert run("batch", "--input", "assets\x00.csv") == (2, "")
+        assert capsys.readouterr().err.startswith("error: --input: cannot parse ")
+
+    def test_negative_zero_age_is_written_unsigned(self, tmp_path):
+        path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\na,100,2,0.2,-0\n")
+        code, out = run("batch", "--input", path, "--format", "json", "--deterministic")
+        assert code == 0
+        assert '"age": 0.0,' in out and "-0.0" not in out
 
     def test_output_into_missing_directory_exit_2(self, tmp_path, monkeypatch, capsys):
         path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\na,100,10,0.2,0\n")

@@ -18,7 +18,6 @@ from assetval import (
     InvalidInput,
     Method,
     Valuation,
-    ValuationKind,
     ZeroRateDivergence,
     build_schedule,
     delayed_present_cost,
@@ -49,7 +48,6 @@ class TestPresentCost:
     def test_reference_asset(self):
         v = present_cost(REF_ASSET, R20)
         assert v.amount == pytest.approx(-119.26137844142957, rel=1e-12)
-        assert v.kind is ValuationKind.PRESENT_COST
 
     def test_matches_truncated_sum(self):
         v = present_cost(REF_ASSET, R20)
@@ -142,18 +140,18 @@ class TestIntrinsicValue:
     def test_returns_valuation(self):
         v = intrinsic_value(REF_ASSET, R20, 3)
         assert isinstance(v, Valuation)
-        assert v.age == 3
-        assert v.kind is ValuationKind.INTRINSIC_VALUE
+        assert Valuation._fields == ("amount",)
 
     def test_valuation_is_an_immutable_named_tuple(self):
         v = intrinsic_value(REF_ASSET, R20, 5)
-        amount, age, kind = v
-        assert (amount, age, kind) == (v.amount, 5, ValuationKind.INTRINSIC_VALUE)
-        assert v == (v.amount, 5, ValuationKind.INTRINSIC_VALUE)
+        (amount,) = v
+        assert amount == v.amount
+        assert v == (v.amount,)
         with pytest.raises(AttributeError):
             v.amount = 0.0
         for point in (present_cost(REF_ASSET, R20), delayed_present_cost(REF_ASSET, R20, 5)):
-            assert tuple(point) == (point.amount, point.age, point.kind)
+            assert isinstance(point, Valuation)
+            assert tuple(point) == (point.amount,)
 
 
 class TestLongLifetimes:

@@ -7,6 +7,7 @@ from assetval import (
     Method,
     MissingRate,
     NonIntegerPeriod,
+    ScheduleRow,
     build_schedule,
     chord_gap,
     compare_methods,
@@ -78,8 +79,9 @@ class TestBuildSchedule:
     def test_rows_are_immutable_named_tuples(self, method):
         sched = build_schedule(ASSET, method, R20)
         row = sched.rows[0]
-        period, expense, book = row
-        assert (period, expense, book) == (1, row.expense, row.book_value)
+        expense, book = row
+        assert (expense, book) == (row.expense, row.book_value)
+        assert ScheduleRow._fields == ("expense", "book_value")
         with pytest.raises(AttributeError):
             row.book_value = 0.0
         again = build_schedule(AssetSpec(cost=100, lifetime=10), method, DiscountRate(0.2))
