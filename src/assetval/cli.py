@@ -23,8 +23,9 @@ import io
 import json
 import math
 import os
+import stat
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
@@ -97,7 +98,8 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _json_text(obj, pad: str) -> str:
     """obj as json.dumps(obj, indent=2) writes it, at the indent of pad
-    ("\n" and spaces); an iterable other than str or dict is a list."""
+    ("\n" and spaces); an iterable other than str or dict is a list, and a
+    callable returns its own text given pad."""
     if isinstance(obj, float):
         text = float.__repr__(obj)
         return _NONFINITE.get(text, text)
@@ -107,6 +109,8 @@ def _json_text(obj, pad: str) -> str:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if callable(obj):  # text that writes itself, such as _schedule_json's
+        return obj(pad)
     inner = pad + "  "
     if isinstance(obj, dict):
         items, brackets = [f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in obj.items()], "{}"
@@ -184,11 +188,16 @@ def _render(out, args, command: str, header: list[str], rows: Iterable[Sequence[
         _emit_table(out, header, list(cells))
 
 
-def _schedule_json(sched) -> list[dict]:
-    return [
-        {"period": period, "expense": _money(expense), "book_value": _money(book)}
-        for period, (expense, book) in enumerate(sched.rows, 1)
-    ]
+def _schedule_json(rows: Sequence[tuple[float, float]]) -> Callable[[str], str]:
+    """A schedule's rows, never empty and all finite, as _json_text writes them at pad:
+    objects of period (from 1), expense and book_value, money as _money rounds it."""
+    def text(pad: str) -> str:
+        inner = pad + "  "
+        row = '{%s  "period": %%d,%s  "expense": %%r,%s  "book_value": %%r%s}' % ((inner,) * 4)
+        return "[" + inner + ("," + inner).join([
+            row % (n, round(e, 4) + 0.0, round(b, 4) + 0.0) for n, (e, b) in enumerate(rows, 1)
+        ]) + pad + "]"
+    return text
 
 
 # ---------------------------------------------------------------- commands
@@ -227,7 +236,7 @@ def cmd_schedule(args, out) -> int:
     payload = {
         "method": method.value,
         "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
-        "rows": _schedule_json(sched),
+        "rows": _schedule_json(sched.rows),
     }
     if method is Method.INTRINSIC:  # classical schedules do not use the rate
         payload["rate"] = rate.rate
@@ -335,8 +344,8 @@ def _required(record: dict, name: str) -> str:
     return str(token)
 
 
-def _batch_record(record: dict) -> dict:
-    """Validate one registry record and compute its value and schedule."""
+def _batch_record(record: dict) -> tuple[float, float, tuple[tuple[float, float], ...]]:
+    """Validate one registry record; its age, value and schedule rows."""
     extra = record.get(None)  # DictReader's key for the cells of a long CSV row
     if extra is not None:
         raise CliError(f"row has {len(extra)} cell(s) beyond the header: "
@@ -348,19 +357,19 @@ def _batch_record(record: dict) -> dict:
     age_token = record.get("age")
     age = 0.0 if age_token in (None, "") else _parse_number(str(age_token), "age")
     value = intrinsic_value(asset, rate, age).amount
-    sched = build_schedule(asset, Method.INTRINSIC, rate)
-    return {
-        "id": record["id"],
-        "age": age,
-        "value": _money(value),
-        "schedule": _schedule_json(sched),
-    }
+    return age, value, build_schedule(asset, Method.INTRINSIC, rate).rows
 
 
 def cmd_batch(args, out) -> int:
-    if args.output:  # an unwritable output fails before any record is read
+    fd = created = records = None
+    if args.output:
+        # opened before any record is read, so that an unwritable output fails
+        # at once, but emptied only after, since it may be the input
         try:
-            open(args.output, "a").close()
+            try:
+                fd, created = os.open(args.output, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+            except FileExistsError:
+                fd = os.open(args.output, os.O_WRONLY)
         except OSError as exc:
             raise CliError(f"--output: cannot write {args.output!r} ({exc.strerror or exc})") from None
     try:
@@ -372,6 +381,11 @@ def cmd_batch(args, out) -> int:
     except (ValueError, csv.Error, RecursionError) as exc:
         # not UTF-8, not JSON, a CSV cell over csv.field_size_limit(), or JSON nested too deep
         raise CliError(f"--input: cannot parse {args.input!r} ({exc})") from None
+    finally:
+        if records is None and fd is not None:  # a failed load leaves no new, empty report
+            os.close(fd)
+            if created:
+                os.remove(args.output)
 
     errors: list[dict] = []
 
@@ -386,25 +400,26 @@ def cmd_batch(args, out) -> int:
             else:
                 seen.add(rec_id)
                 try:
-                    entry = _batch_record({**record, "id": rec_id})
+                    result = _batch_record({**record, "id": rec_id})
                 except InvalidInput as exc:
                     errors.append({"id": rec_id, "reason": str(exc)})
                 else:
-                    yield entry
+                    yield rec_id, *result
 
     entries = checked_entries()
-    rows = (
-        (e["id"], e["value"], str(r["period"]), r["expense"], r["book_value"])
-        for e in entries
-        for r in e["schedule"]
-    )
+    json_entries = ({"id": rec_id, "age": age, "value": _money(value),
+                     "schedule": _schedule_json(rows)} for rec_id, age, value, rows in entries)
+    csv_rows = ((rec_id, cell, str(n), *row) for rec_id, _, value, rows in entries
+                for cell in (fmt_money(value),) for n, row in enumerate(rows, 1))
     if args.format == "table":  # a batch report has no table layout
         args.format = "json"
-    with open(args.output, "w") if args.output else nullcontext(out) as sink:
+    with open(fd, "w") if fd is not None else nullcontext(out) as sink:
+        if fd is not None and stat.S_ISREG(os.fstat(fd).st_mode):  # not a device or FIFO
+            os.ftruncate(fd, 0)
         # JSON writes "errors" after "entries" and CSV prints it after the
         # rows, so the list is complete by the time it is written.
-        _render(sink, args, "batch", ["id", "value", "period", "expense", "book_value"], rows,
-                {"entries": entries, "errors": errors})
+        _render(sink, args, "batch", ["id", "value", "period", "expense", "book_value"], csv_rows,
+                {"entries": json_entries, "errors": errors})
     if args.format == "csv":
         for err in errors:
             print(f"{err['id']}: {err['reason']}", file=sys.stderr)

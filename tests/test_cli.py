@@ -424,6 +424,39 @@ class TestBatch:
         assert code == 2
         assert report.read_text() == "last run\n"
 
+    @pytest.mark.parametrize("name, text", [("nope.csv", None), ("bad.csv", "a,b\n1,2\n")])
+    def test_failed_input_leaves_no_new_report(self, tmp_path, name, text):
+        if text is not None:
+            self.write_registry(tmp_path, text, name=name)
+        report = tmp_path / "new.json"
+        code, _ = run("batch", "--input", str(tmp_path / name), "--output", str(report))
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if text is None else [name])
+
+    def test_report_shorter_than_old_file_replaces_it(self, tmp_path):
+        path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\na,100,2,0.2,0\n")
+        report = tmp_path / "report.csv"
+        report.write_text("x" * 10_000)
+        code, _ = run("batch", "--input", path, "--output", str(report), "--format", "csv")
+        assert code == 0
+        assert report.read_text() == run("batch", "--input", path, "--format", "csv")[1]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_to_fifo(self, tmp_path):
+        path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\na,100,10,0.2,0\n")
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        # a reader is open before the command runs, so its open does not wait;
+        # the report is far smaller than the pipe's buffer
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _ = run("batch", "--input", path, "--output", str(fifo), "--format", "csv")
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert text == run("batch", "--input", path, "--format", "csv")[1]
+
     def test_output_to_device(self, tmp_path):
         path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\na,100,10,0.2,0\n")
         code, _ = run("batch", "--input", path, "--output", os.devnull)

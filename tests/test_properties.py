@@ -1,7 +1,8 @@
 """Properties checked with Hypothesis: the closed forms and schedules over
-wide input ranges, the CLI's JSON writer against the json module, bad
-command-line and registry tokens against exit code 1, and CSV cells
-against the JSON payload.
+wide input ranges, the CLI's JSON writer (schedule rows included) against
+the json module, money rounded once for CSV as for JSON, bad command-line
+and registry tokens against exit code 1, and CSV cells against the JSON
+payload.
 
 Ranges: cost in [1e-6, 1e12], lifetime in [1e-3, 1e6], rate in [0, 1e3],
 rate 0 and subnormal rates included. Each range is drawn both uniformly
@@ -32,7 +33,15 @@ from assetval import (
     present_cost,
     trade_surplus,
 )
-from assetval.cli import COMMANDS, METHOD_TOKENS, _write_json, main
+from assetval.cli import (
+    COMMANDS,
+    METHOD_TOKENS,
+    _money,
+    _schedule_json,
+    _write_json,
+    fmt_money,
+    main,
+)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -205,6 +214,43 @@ def test_json_writer_matches_json_module(obj):
     want = json.dumps(obj, indent=2)
     assert written(obj) == want
     assert written(as_generators(obj)) == want
+
+
+# Every finite double: subnormals, -0.0 and magnitudes from 1e16 up (where
+# repr switches to exponent form) included, and values next to the ties of
+# 4-decimal rounding, where rounding twice could differ from rounding once.
+finite_doubles = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(-1e20, 1e20)
+    | st.integers(-(10**16), 10**16).map(lambda k: (k + 0.5) / 10_000)
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.00005, -0.00005,
+                       0.00015, 0.03125, 1e16, -1e16, 9999999999999998.0, sys.float_info.max])
+)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(finite_doubles, finite_doubles), min_size=1, max_size=6),
+       st.lists(st.booleans(), max_size=4))
+@example([(-0.0, 5e-324)], [])
+@example([(1e16, -1e16), (-1.5e300, 0.00005)], [True, False])
+def test_schedule_rows_written_as_json_module_writes_their_dicts(rows, nesting):
+    """_schedule_json(rows) at any pad is json.dumps(indent=2) of the rows'
+    dict form; nesting puts it under dicts (True) and iterators (False)."""
+    obj = _schedule_json(rows)
+    want = [{"period": n, "expense": _money(e), "book_value": _money(b)}
+            for n, (e, b) in enumerate(rows, 1)]
+    for in_dict in nesting:
+        obj, want = ({"rows": obj}, {"rows": want}) if in_dict else (iter([obj]), [want])
+    assert written(obj) == json.dumps(want, indent=2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(finite_doubles)
+@example(0.03125)
+@example(-0.00004)
+@example(sys.float_info.max)
+def test_csv_money_rounds_once_as_json_money(x):
+    assert fmt_money(x) == fmt_money(_money(x))
 
 
 def invoke(argv):
