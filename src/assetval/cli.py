@@ -29,6 +29,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .classic import Method
@@ -169,8 +170,7 @@ def _render(out, args, command: str, header: list[str], rows: Iterable[Sequence[
 
     header and rows are the table; each row holds strings and money as
     floats, and is formatted as it is written, so rows may be a generator.
-    payload is what --format json writes; an iterator in it (batch's
-    entries) is written item by item. With labels (value, surplus: always
+    payload is what --format json writes. With labels (value, surplus: always
     one row), --format table prints one line per column, the label and the
     cell, or the bare cell where the label is empty.
     """
@@ -198,6 +198,21 @@ def _schedule_json(rows: Sequence[tuple[float, float]]) -> Callable[[str], str]:
             row % (n, round(e, 4) + 0.0, round(b, 4) + 0.0) for n, (e, b) in enumerate(rows, 1)
         ]) + pad + "]"
     return text
+
+
+# writerow returns what its file's write returns, here the row's text; with a
+# "\r\n" terminator, every Python version quotes a cell holding CR or LF.
+_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+
+
+def _schedule_csv(rec_id: str, value: float, rows: Sequence[tuple[float, float]]) -> str:
+    """A batch record's CSV lines, each ending in "\\n": id and value as the csv
+    module writes them, then period (from 1), expense and book_value, money as
+    fmt_money writes it. rows is a schedule's, never empty and all finite."""
+    body = "\n".join(["%d,%.4f,%.4f" % (n, e, b) for n, (e, b) in enumerate(rows, 1)])
+    prefix = _csv_line((rec_id, fmt_money(value), ""))[:-2]  # "id,value,"
+    # body holds only numbers, so ",-0.0000" is a whole cell; the id goes in after
+    return prefix + body.replace(",-0.0000", ",0.0000").replace("\n", "\n" + prefix) + "\n"
 
 
 # ---------------------------------------------------------------- commands
@@ -407,22 +422,23 @@ def cmd_batch(args, out) -> int:
                     yield rec_id, *result
 
     entries = checked_entries()
-    json_entries = ({"id": rec_id, "age": age, "value": _money(value),
-                     "schedule": _schedule_json(rows)} for rec_id, age, value, rows in entries)
-    csv_rows = ((rec_id, cell, str(n), *row) for rec_id, _, value, rows in entries
-                for cell in (fmt_money(value),) for n, row in enumerate(rows, 1))
-    if args.format == "table":  # a batch report has no table layout
-        args.format = "json"
     with open(fd, "w") if fd is not None else nullcontext(out) as sink:
         if fd is not None and stat.S_ISREG(os.fstat(fd).st_mode):  # not a device or FIFO
             os.ftruncate(fd, 0)
         # JSON writes "errors" after "entries" and CSV prints it after the
         # rows, so the list is complete by the time it is written.
-        _render(sink, args, "batch", ["id", "value", "period", "expense", "book_value"], csv_rows,
-                {"entries": json_entries, "errors": errors})
+        if args.format == "csv":
+            sink.write("id,value,period,expense,book_value\n")
+            for rec_id, _, value, rows in entries:
+                sink.write(_schedule_csv(rec_id, value, rows))
+        else:  # a batch report has no table layout: table writes JSON
+            json_entries = ({"id": rec_id, "age": age, "value": _money(value),
+                             "schedule": _schedule_json(rows)} for rec_id, age, value, rows in entries)
+            _emit_json(sink, "batch", {"entries": json_entries, "errors": errors}, args.deterministic)
     if args.format == "csv":
-        for err in errors:
-            print(f"{err['id']}: {err['reason']}", file=sys.stderr)
+        for err in errors:  # one line each, whatever the id holds
+            rec_id = err["id"].replace("\r", "\\r").replace("\n", "\\n")
+            print(f"{rec_id}: {err['reason']}", file=sys.stderr)
     return 3 if errors else 0
 
 

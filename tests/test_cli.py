@@ -482,6 +482,28 @@ class TestBatch:
         assert rows[0][0] == "forklift"
         assert rows[0][1] == "71.3329"
 
+    def test_csv_quotes_ids_holding_cr_or_lf(self, tmp_path):
+        ids = ["a\rb", "c\nd", "e\r\nf"]
+        path = tmp_path / "assets.json"
+        path.write_text(json.dumps([{"id": i, "cost": 100, "lifetime": 2, "rate": 0.2} for i in ids]))
+        code, out = run("batch", "--input", str(path), "--format", "csv")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[:3] for row in rows] == [[i, "100.0000", n] for i in ids for n in "12"]
+
+    def test_csv_error_is_one_stderr_line_each(self, tmp_path, capsys):
+        path = tmp_path / "assets.json"
+        path.write_text(json.dumps([{"id": i, "cost": "x", "lifetime": 2, "rate": 0.2}
+                                    for i in ("a\nb", "c\rd")]))
+        code, out = run("batch", "--input", str(path), "--format", "csv")
+        assert (code, out) == (3, "id,value,period,expense,book_value\n")
+        reason = "cost: cannot parse number 'x'"
+        assert capsys.readouterr().err == f"a\\nb: {reason}\nc\\rd: {reason}\n"
+        code, out = run("batch", "--input", str(path), "--format", "json", "--deterministic")
+        assert code == 3
+        assert json.loads(out)["payload"]["errors"] == [
+            {"id": "a\nb", "reason": reason}, {"id": "c\rd", "reason": reason}]
+
     def test_entries_stream_as_computed(self, tmp_path, monkeypatch):
         path = self.write_registry(
             tmp_path,
