@@ -178,9 +178,9 @@ def intrinsic_depreciation(
     rate 0. Computed as the drop itself, not as a difference of two values near
     cost, so short spans keep their relative precision.
     """
-    check_age(asset, age_start, name="age_start")
-    check_age(asset, age_end, name="age_end")
-    if age_end < age_start:
+    if not 0 <= age_start <= age_end <= asset.lifetime:  # NaN and +-inf fail here too
+        check_age(asset, age_start, name="age_start")
+        check_age(asset, age_end, name="age_end")
         raise AgeOrderViolation(f"age_end ({age_end}) precedes age_start ({age_start})")
     g, e = _discount(asset, rate)
     span = age_end - age_start

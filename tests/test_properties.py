@@ -1,5 +1,6 @@
 """Properties checked with Hypothesis: the closed forms and schedules over
-wide input ranges, the CLI's JSON writer (schedule rows included) against
+wide input ranges, schedule rows bit for bit against a per-period loop,
+the CLI's JSON writer (schedule rows included) against
 the json module, money rounded once for CSV as for JSON, batch CSV rows
 against the csv module, bad command-line and registry tokens against exit
 code 1, and CSV cells against the JSON payload (batch included).
@@ -17,6 +18,7 @@ import math
 import sys
 import tempfile
 from contextlib import redirect_stderr
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -28,9 +30,14 @@ from assetval import (
     DiscountRate,
     InvalidInput,
     Method,
+    ScheduleRow,
     build_schedule,
+    double_declining_book_value,
+    intrinsic_depreciation,
     intrinsic_value,
     present_cost,
+    straight_line_book_value,
+    sum_of_years_book_value,
     trade_surplus,
 )
 from assetval.cli import (
@@ -43,7 +50,13 @@ from assetval.cli import (
     fmt_money,
     main,
 )
+from assetval.core import _value_curve
 
+CLASSIC_BOOK = {
+    Method.STRAIGHT_LINE: straight_line_book_value,
+    Method.DOUBLE_DECLINING: double_declining_book_value,
+    Method.SUM_OF_YEARS: sum_of_years_book_value,
+}
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
@@ -167,6 +180,47 @@ def test_schedule_finite_at_extreme_costs(cost, lifetime, method, rate):
     rows = build_schedule(AssetSpec(cost, lifetime), method, DiscountRate(rate)).rows
     assert all(math.isfinite(row.book_value) and 0.0 <= row.book_value <= cost for row in rows)
     assert all(math.isfinite(row.expense) and row.expense <= 0.0 for row in rows)
+
+
+def loop_rows(asset, method, rate):
+    """(expense, book) per period from a Python loop over the periods, as
+    build_schedule made them before it zipped its rows: the reference that
+    its rows must equal bit for bit."""
+    if method is Method.INTRINSIC:
+        book_at, drop = _value_curve(asset, rate), partial(intrinsic_depreciation, asset, rate)
+    else:
+        book_at, drop = partial(CLASSIC_BOOK[method], asset), None
+    rows, prev = [], asset.cost
+    for n in range(1, int(asset.lifetime) + 1):
+        book = book_at(n)
+        rows.append((drop(n - 1, n) if drop else book - prev, book))
+        prev = book
+    return rows
+
+
+@st.composite
+def schedule_inputs(draw):
+    """Int or float cost up to 1.7e308 and whole lifetime up to 2,000; rate 0,
+    rates whose l*log1p(r) falls below 2^-53, and the usual range."""
+    life = draw(st.integers(1, 12) | st.integers(1, 2000))
+    cost = draw(st.integers(1, 10**308) | spread(1e-6, 1.7e308))
+    tiny = st.floats(0.0, 2.0**-53, exclude_max=True).map(lambda x: x / life)
+    rate = draw(st.just(0.0) | tiny | rates)
+    return AssetSpec(cost, draw(st.sampled_from([life, float(life)]))), DiscountRate(rate)
+
+
+@SETTINGS
+@given(schedule_inputs())
+@example((AssetSpec(100, 10), DiscountRate(0.2)))
+@example((AssetSpec(1.7e308, 3), DiscountRate(0.0)))
+@example((AssetSpec(1, 2000.0), DiscountRate(2.0**-53 / 2000 / 2)))
+def test_schedule_rows_equal_the_loop_bit_for_bit(inputs):
+    asset, rate = inputs
+    for method in Method:
+        rows = build_schedule(asset, method, rate).rows
+        assert all(type(row) is ScheduleRow for row in rows)
+        want = [(float.hex(e), float.hex(b)) for e, b in loop_rows(asset, method, rate)]
+        assert [(float.hex(e), float.hex(b)) for e, b in rows] == want
 
 
 @SETTINGS

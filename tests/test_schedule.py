@@ -12,6 +12,7 @@ from assetval import (
     chord_gap,
     compare_methods,
     rate_sweep,
+    schedule,
     straight_line_book_value,
     trade_surplus,
 )
@@ -74,6 +75,28 @@ class TestBuildSchedule:
         ddb_total = sum(r.expense for r in build_schedule(ASSET, Method.DOUBLE_DECLINING).rows)
         assert ddb_total == pytest.approx(-100 * (1 - 0.8**10), rel=1e-12)
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_one_patched_call_per_row(self, method, monkeypatch):
+        # The benchmark's tracer patches these names and asserts that a
+        # traced batch calls both, so schedules keep one call per row.
+        calls = []
+
+        def counted(fn):
+            def call(asset, *args):
+                calls.append(args)
+                return fn(asset, *args)
+            return call
+
+        monkeypatch.setattr(schedule, "intrinsic_depreciation",
+                            counted(schedule.intrinsic_depreciation))
+        for m, book in list(schedule._CLASSIC_BOOK.items()):
+            monkeypatch.setitem(schedule._CLASSIC_BOOK, m, counted(book))
+        rows = build_schedule(AssetSpec(cost=100, lifetime=7), method, R20).rows
+        if method is Method.INTRINSIC:
+            assert calls == [(R20, n - 1, n) for n in range(1, 8)]
+        else:
+            assert calls == [(n,) for n in range(1, 8)]
+        assert len(rows) == 7
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_rows_are_immutable_named_tuples(self, method):
