@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import assetval
-from assetval import cli
+from assetval import cli, core, schedule
 from assetval.cli import main
 
 
@@ -275,6 +275,20 @@ class TestSweep:
         assert code == 2
         assert "--rates" in capsys.readouterr().err
 
+    def test_each_value_evaluated_once(self, monkeypatch):
+        """The chord gaps come from the values the sweep prints: 2 rates x 11 ages."""
+        calls = []
+        value_at = core._value_at
+
+        def counted(*args):
+            calls.append(args)
+            return value_at(*args)
+
+        monkeypatch.setattr(core, "_value_at", counted)
+        code, _ = run("sweep", "--cost", "100", "--life", "10", "--rates", "0.05,0.2")
+        assert code == 0
+        assert len(calls) == 22
+
 
 class TestSurplus:
     def test_midlife(self):
@@ -304,6 +318,21 @@ class TestSurplus:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0][2] == "0.0000"
+
+    def test_two_valuations(self, monkeypatch):
+        """The surplus is the difference of the two values it prints."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return core.intrinsic_value(*args)
+
+        for module in (cli, schedule):
+            monkeypatch.setattr(module, "intrinsic_value", counted)
+        code, _ = run("surplus", "--cost", "100", "--life", "10", "--age", "5",
+                      "--seller-rate", "0.05", "--buyer-rate", "0.2")
+        assert code == 0
+        assert len(calls) == 2
 
 
 class TestBatch:
@@ -466,7 +495,7 @@ class TestBatch:
         path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\nforklift,100,10,0.2,5\n")
         code, _ = run("batch", "--input", path, "--output", path, "--format", "csv")
         assert code == 0
-        header, rows = parse_csv(open(path).read())
+        header, rows = parse_csv(Path(path).read_text())
         assert header == ["id", "value", "period", "expense", "book_value"]
         assert len(rows) == 10
 

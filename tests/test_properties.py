@@ -3,7 +3,8 @@ wide input ranges, schedule rows bit for bit against a per-period loop,
 the CLI's JSON writer (schedule rows included) against
 the json module, money rounded once for CSV as for JSON, batch CSV rows
 against the csv module, bad command-line and registry tokens against exit
-code 1, and CSV cells against the JSON payload (batch included).
+code 1, CSV cells against the JSON payload (batch included), and sweep's
+chord gaps and surplus against chord_gap and trade_surplus.
 
 Ranges: cost in [1e-6, 1e12], lifetime in [1e-3, 1e6], rate in [0, 1e3],
 rate 0 and subnormal rates included. Each range is drawn both uniformly
@@ -32,6 +33,7 @@ from assetval import (
     Method,
     ScheduleRow,
     build_schedule,
+    chord_gap,
     double_declining_book_value,
     intrinsic_depreciation,
     intrinsic_value,
@@ -470,6 +472,36 @@ def test_csv_cells_match_json_payload(command, method, cost, life, rate, other, 
     values = PAYLOAD_ROWS[command](json.loads(text)["payload"], header)
     assert [len(row) for row in cells] == [len(row) for row in values]
     assert all(same_cell(c, v) for row, want in zip(cells, values) for c, v in zip(row, want))
+
+
+@SETTINGS
+@given(spread(5e-324, sys.float_info.max), st.integers(1, 400), st.lists(rates, min_size=1, max_size=4),
+       fractions)
+@example(100.0, 10, [0.05, 0.2], 0.5)
+@example(5e-324, 1, [0.0, 5e-324], 0.5)
+@example(sys.float_info.max, 400, [1e3, 0.0, 5e-324, 1e-20], 0.25)
+def test_sweep_gaps_and_surplus_match_the_library(cost, life, rate_list, fraction):
+    """sweep's chord gaps, taken from the values it prints, and surplus, the
+    difference of the two values it prints, are what chord_gap and
+    trade_surplus compute, as JSON and CSV write them."""
+    asset = AssetSpec(cost, float(life))
+    tokens = [repr(r) for r in rate_list]
+    gaps = [chord_gap(asset, DiscountRate(r)) for r in rate_list]
+    argv = ["sweep", "--cost", repr(cost), "--life", str(life), "--rates", ",".join(tokens)]
+    code, text = invoke([*argv, "--format", "json", "--deterministic"])
+    assert code == 0
+    payload = json.loads(text)["payload"]
+    assert [payload["chord_gap"][t] for t in tokens] == [_money(g) for g in gaps]
+    code, text = invoke([*argv, "--format", "csv"])
+    assert code == 0
+    assert list(csv.reader(io.StringIO(text)))[-1] == ["chord_gap", *map(fmt_money, gaps)]
+    age, seller, buyer = fraction * life, rate_list[0], rate_list[-1]
+    code, text = invoke(["surplus", "--cost", repr(cost), "--life", str(life), "--age", repr(age),
+                         "--seller-rate", repr(seller), "--buyer-rate", repr(buyer),
+                         "--format", "json", "--deterministic"])
+    assert code == 0
+    surplus = trade_surplus(asset, age, DiscountRate(seller), DiscountRate(buyer))
+    assert json.loads(text)["payload"]["surplus"] == _money(surplus)
 
 
 @SETTINGS
