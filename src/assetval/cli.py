@@ -96,46 +96,31 @@ def _split(text: str) -> list[str]:
 
 
 _json_str = json.encoder.encode_basestring_ascii
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_text(obj, pad: str) -> str:
-    """obj as json.dumps(obj, indent=2) writes it, at the indent of pad
-    ("\n" and spaces); an iterable other than str or dict is a list, and a
-    callable returns its own text given pad."""
+def _json_scalar(obj) -> str:
+    """A float, str or int as json.dumps writes it; payloads hold no other scalar."""
     if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _NONFINITE.get(text, text)
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if callable(obj):  # text that writes itself, such as _schedule_json's
-        return obj(pad)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        items, brackets = [f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in obj.items()], "{}"
-    else:
-        items, brackets = [_json_text(v, inner) for v in obj], "[]"
-    if not items:
-        return brackets
-    return brackets[0] + inner + f",{inner}".join(items) + pad + brackets[1]
+        return float.__repr__(obj)
+    return _json_str(obj) if isinstance(obj, str) else int.__repr__(obj)
 
 
 def _write_json(write, obj, pad: str = "\n") -> None:
-    """Pass _json_text(obj, pad) to write in pieces: dicts key by key and
-    iterators item by item, so an iterator under dicts is consumed as it
-    is written; any other value in one piece."""
+    """Pass json.dumps(obj, indent=2) to write, at the indent of pad ("\n"
+    and spaces): dicts key by key and iterators item by item, so an iterator
+    under dicts is consumed as it is written; a list, of scalars only, in one
+    piece; a callable returns its own text given pad."""
+    inner = pad + "  "
     if isinstance(obj, dict):
         opener, closer, items = "{", "}", ((f"{_json_str(k)}: ", v) for k, v in obj.items())
     elif isinstance(obj, Iterator):
         opener, closer, items = "[", "]", (("", v) for v in obj)
-    else:
-        write(_json_text(obj, pad))
+    elif isinstance(obj, list):
+        write("[" + inner + f",{inner}".join(map(_json_scalar, obj)) + pad + "]" if obj else "[]")
         return
-    inner = pad + "  "
+    else:  # a callable is text that writes itself, such as _schedule_json's
+        write(obj(pad) if callable(obj) else _json_scalar(obj))
+        return
     lead = opener + inner
     for key, value in items:
         write(lead + key)
@@ -191,7 +176,7 @@ def _render(out, args, command: str, header: list[str], rows: Iterable[Sequence[
 
 
 def _schedule_json(rows: Sequence[tuple[float, float]]) -> Callable[[str], str]:
-    """A schedule's rows, never empty and all finite, as _json_text writes them at pad:
+    """A schedule's rows, never empty and all finite, as _write_json writes them at pad:
     objects of period (from 1), expense and book_value, money as _money rounds it."""
     def text(pad: str) -> str:
         inner = pad + "  "
@@ -425,7 +410,7 @@ def cmd_batch(args, out) -> int:
                     yield rec_id, *result
 
     entries = checked_entries()
-    with open(fd, "w") if fd is not None else nullcontext(out) as sink:
+    with open(fd, "w", encoding="utf-8") if fd is not None else nullcontext(out) as sink:
         if fd is not None and stat.S_ISREG(os.fstat(fd).st_mode):  # not a device or FIFO
             os.ftruncate(fd, 0)
         # JSON writes "errors" after "entries" and CSV prints it after the
@@ -437,7 +422,9 @@ def cmd_batch(args, out) -> int:
         else:  # a batch report has no table layout: table writes JSON
             json_entries = ({"id": rec_id, "age": age, "value": _money(value),
                              "schedule": _schedule_json(rows)} for rec_id, age, value, rows in entries)
-            _emit_json(sink, "batch", {"entries": json_entries, "errors": errors}, args.deterministic)
+            # errors holds dicts, which _write_json takes only as an iterator
+            _emit_json(sink, "batch", {"entries": json_entries, "errors": iter(errors)},
+                       args.deterministic)
     if args.format == "csv":
         for err in errors:  # one line each, whatever the id holds
             rec_id = err["id"].replace("\r", "\\r").replace("\n", "\\n")

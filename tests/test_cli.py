@@ -569,6 +569,19 @@ class TestBatch:
         assert [e["id"] for e in payload["entries"]] == ["a", "b"]
         assert [e["id"] for e in payload["errors"]] == ["c"]
 
+    def test_report_is_utf8_under_any_locale(self, tmp_path):
+        path = tmp_path / "assets.csv"
+        path.write_bytes("id,cost,lifetime,rate\ncaf\u00e9,100,2,0.2\n".encode())
+        report = tmp_path / "report.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(assetval.__file__).parents[1]),
+               "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run([sys.executable, "-m", "assetval.cli", "batch", "--input", str(path),
+                               "--output", str(report), "--format", "csv"],
+                              env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        _, rows = parse_csv(report.read_bytes().decode("utf-8"))
+        assert [row[:3] for row in rows] == [["caf\u00e9", "100.0000", n] for n in "12"]
+
     @pytest.mark.parametrize("name, text", [
         ("assets.csv", "id,cost,lifetime,rate,age\nf,100,10,0.2,5\n"),
         ("assets.json", '[{"id": "f", "cost": 100, "lifetime": 10, "rate": 0.2, "age": 5}]'),
