@@ -23,11 +23,13 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from datetime import datetime, timezone
+from itertools import chain
 from operator import sub
 from pathlib import Path
 from types import SimpleNamespace
@@ -175,15 +177,31 @@ def _render(out, args, command: str, header: list[str], rows: Iterable[Sequence[
         _emit_table(out, header, list(cells))
 
 
+# The zeros after a money cell's first decimal, in the text of _schedule_json's
+# "%.4f" rows: each such cell ends at "," (expense) or "\n" (book_value). A
+# pattern, not a compiled one: re compiles it on first use, so a command that
+# writes no schedule does not pay for it at start-up.
+_SURPLUS_ZEROS = r"0(?:00(?<=\.\d000)|0(?<=\.\d[1-9]00)|(?<=\.\d\d[1-9]0))(?=[,\n])"
+
+
 def _schedule_json(rows: Sequence[tuple[float, float]]) -> Callable[[str], str]:
     """A schedule's rows, never empty and all finite, as _write_json writes them at pad:
     objects of period (from 1), expense and book_value, money as _money rounds it."""
     def text(pad: str) -> str:
         inner = pad + "  "
-        row = '{%s  "period": %%d,%s  "expense": %%r,%s  "book_value": %%r%s}' % ((inner,) * 4)
-        return "[" + inner + ("," + inner).join([
-            row % (n, round(e, 4) + 0.0, round(b, 4) + 0.0) for n, (e, b) in enumerate(rows, 1)
-        ]) + pad + "]"
+        if max(map(abs, chain.from_iterable(rows))) >= 1e11:
+            row = '{%s  "period": %%d,%s  "expense": %%r,%s  "book_value": %%r%s}' % ((inner,) * 4)
+            return "[" + inner + ("," + inner).join([
+                row % (n, round(e, 4) + 0.0, round(b, 4) + 0.0) for n, (e, b) in enumerate(rows, 1)
+            ]) + pad + "]"
+        # Below 1e11, "%.4f" % x has at most 15 significant digits, so it is the
+        # decimal that round(x, 4) is nearest to and repr prints it with its
+        # trailing zeros cut: the two paths write the same bytes.
+        row = '{%s  "period": %%d,%s  "expense": %%.4f,%s  "book_value": %%.4f%s}' % ((inner,) * 4)
+        n = len(rows)
+        body = ("," + inner).join([row] * n) % tuple(
+            chain.from_iterable(zip(range(1, n + 1), *zip(*rows))))
+        return "[" + inner + re.sub(_SURPLUS_ZEROS, "", body.replace(" -0.0000", " 0.0000")) + pad + "]"
     return text
 
 
@@ -375,6 +393,8 @@ def cmd_batch(args, out) -> int:
                 fd = os.open(args.output, os.O_WRONLY)
         except OSError as exc:
             raise CliError(f"--output: cannot write {args.output!r} ({exc.strerror or exc})") from None
+        except UnicodeEncodeError as exc:  # a name the file system's encoding cannot hold
+            raise CliError(f"--output: cannot write {args.output!r} ({exc})") from None
     try:
         records = _load_registry(Path(args.input))
     except InvalidInput:  # a bad header, shape or extension, already named
@@ -417,8 +437,14 @@ def cmd_batch(args, out) -> int:
         # rows, so the list is complete by the time it is written.
         if args.format == "csv":
             sink.write("id,value,period,expense,book_value\n")
-            for rec_id, _, value, rows in entries:
-                sink.write(_schedule_csv(rec_id, value, rows))
+            try:
+                for rec_id, _, value, rows in entries:
+                    sink.write(_schedule_csv(rec_id, value, rows))
+            except UnicodeEncodeError as exc:  # an id that the sink's encoding cannot hold
+                where = "--output" if fd is not None else "stdout"
+                hint = "" if fd is not None else " (--output writes UTF-8)"
+                raise CliError(f"{where}: cannot write {exc.object[exc.start:exc.end]!r} "
+                               f"in its encoding, {exc.encoding}{hint}") from None
         else:  # a batch report has no table layout: table writes JSON
             json_entries = ({"id": rec_id, "age": age, "value": _money(value),
                              "schedule": _schedule_json(rows)} for rec_id, age, value, rows in entries)

@@ -446,6 +446,20 @@ class TestBatch:
         assert capsys.readouterr().err.startswith("error: --output: cannot write")
         assert loaded == []  # the output is checked before any record is read
 
+    def test_output_name_the_file_system_cannot_encode_exit_2(self, tmp_path, capsys):
+        path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\na,100,10,0.2,0\n")
+        # a lone surrogate has no bytes in any file system encoding
+        code, out = run("batch", "--input", path, "--output", str(tmp_path / "\ud800.json"))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --output: cannot write")
+
+    def test_id_the_report_cannot_encode_exit_2(self, tmp_path, capsys):
+        path = self.write_registry(
+            tmp_path, '[{"id": "\\ud800", "cost": 100, "lifetime": 2, "rate": 0.2}]', name="a.json")
+        code, _ = run("batch", "--input", path, "--output", str(tmp_path / "r.csv"), "--format", "csv")
+        assert code == 2
+        assert capsys.readouterr().err == "error: --output: cannot write '\\ud800' in its encoding, utf-8\n"
+
     def test_failed_input_keeps_existing_report(self, tmp_path):
         report = tmp_path / "report.json"
         report.write_text("last run\n")
@@ -569,18 +583,29 @@ class TestBatch:
         assert [e["id"] for e in payload["entries"]] == ["a", "b"]
         assert [e["id"] for e in payload["errors"]] == ["c"]
 
-    def test_report_is_utf8_under_any_locale(self, tmp_path):
+    @staticmethod
+    def run_in_c_locale(tmp_path, *argv):
+        """batch over a registry whose id is caf\u00e9, in a process whose locale
+        is C, not in UTF-8 mode: stdout's encoding is ASCII."""
         path = tmp_path / "assets.csv"
         path.write_bytes("id,cost,lifetime,rate\ncaf\u00e9,100,2,0.2\n".encode())
-        report = tmp_path / "report.csv"
         env = {**os.environ, "PYTHONPATH": str(Path(assetval.__file__).parents[1]),
                "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
-        proc = subprocess.run([sys.executable, "-m", "assetval.cli", "batch", "--input", str(path),
-                               "--output", str(report), "--format", "csv"],
-                              env=env, capture_output=True, timeout=60)
+        return subprocess.run([sys.executable, "-m", "assetval.cli", "batch", "--input", str(path),
+                               *argv], env=env, capture_output=True, timeout=60)
+
+    def test_report_is_utf8_under_any_locale(self, tmp_path):
+        report = tmp_path / "report.csv"
+        proc = self.run_in_c_locale(tmp_path, "--output", str(report), "--format", "csv")
         assert (proc.returncode, proc.stderr) == (0, b"")
         _, rows = parse_csv(report.read_bytes().decode("utf-8"))
         assert [row[:3] for row in rows] == [["caf\u00e9", "100.0000", n] for n in "12"]
+
+    def test_stdout_that_cannot_encode_an_id_exit_2(self, tmp_path):
+        proc = self.run_in_c_locale(tmp_path, "--format", "csv")
+        assert (proc.returncode, proc.stdout) == (2, b"id,value,period,expense,book_value\n")
+        assert proc.stderr == (b"error: stdout: cannot write '\\xe9' in its encoding, ascii"
+                               b" (--output writes UTF-8)\n")
 
     @pytest.mark.parametrize("name, text", [
         ("assets.csv", "id,cost,lifetime,rate,age\nf,100,10,0.2,5\n"),

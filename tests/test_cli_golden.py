@@ -136,6 +136,12 @@ VALID = {
     # expenses that round to zero from below
     "schedule-tiny-expenses": ["schedule", "--cost", "100", "--life", "40", "--rate", "30",
                                "--method", "intrinsic"],
+    # cells just below 1e11, which JSON writes from "%.4f" text, and above it,
+    # which JSON writes as repr(round(x, 4)); "%.4f" gives 822065360899.7939
+    "schedule-below-1e11": ["schedule", "--cost", "99999999999.9999", "--life", "3",
+                            "--rate", "1000", "--method", "intrinsic"],
+    "schedule-above-1e11": ["schedule", "--cost", "822887425440.27", "--life", "3",
+                            "--rate", "1000", "--method", "intrinsic"],
     "compare": ["compare", *ASSET, "--rate", "0.2", "--methods", "intrinsic,sl,ddb,syd"],
     "compare-rate0": ["compare", *ASSET, "--rate", "0", "--methods", "syd, intrinsic"],
     "compare-classic": ["compare", *ASSET, "--methods", "ddb,sl"],

@@ -294,11 +294,21 @@ finite_doubles = (
 )
 
 
+# Doubles on both sides of 1e11, below which the schedule writer prints "%.4f"
+# text in place of repr(round(x, 4)), and ties of 4-decimal rounding up to 1e15.
+near_cut = st.floats(-2e11, 2e11) | st.integers(-(10**19), 10**19).map(lambda k: (k + 0.5) / 10_000)
+money_doubles = finite_doubles | near_cut
+
+
 @SETTINGS
-@given(st.lists(st.tuples(finite_doubles, finite_doubles), min_size=1, max_size=6),
+@given(st.lists(st.tuples(money_doubles, money_doubles), min_size=1, max_size=6),
        st.lists(st.booleans(), max_size=4))
 @example([(-0.0, 5e-324)], [])
 @example([(1e16, -1e16), (-1.5e300, 0.00005)], [True, False])
+@example([(99999999999.99995, -0.00004), (0.00005, -99999999999.99995)], [True])
+@example([(1e11, 0.5)], [])
+# one cell above the cut, where "%.4f" would print 703275009772.6639
+@example([(-0.00004, 0.00005), (703275009772.664, 1.25)], [])
 def test_schedule_rows_written_as_json_module_writes_their_dicts(rows, nesting):
     """_schedule_json(rows) at any pad is json.dumps(indent=2) of the rows'
     dict form; nesting puts it under dicts (True) and iterators (False)."""
@@ -386,6 +396,7 @@ def test_every_flag_has_a_good_token():
 @given(st.sampled_from(FLAGS), bad_tokens, st.sampled_from(["table", "csv", "json"]))
 @example(("schedule", "--rate"), "abc", "table")
 @example(("batch", "--output"), "missing/report.json", "json")
+@example(("batch", "--output"), "\x80", "json")  # not in an ASCII file system encoding
 def test_bad_flag_token_never_exits_1(case, token, fmt):
     command, bad_flag = case
     assume(bad_flag != "--life" or not parses_above(token, 1e4))
@@ -422,10 +433,10 @@ def test_bad_registry_token_never_exits_1(field, token, suffix):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "registry" + suffix)
         if suffix == ".csv":
-            with path.open("w", newline="") as fh:
+            with path.open("w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerows([record, record.values()])
         else:
-            path.write_text(json.dumps([record]))
+            path.write_text(json.dumps([record]), encoding="utf-8")
         code, out = invoke(["batch", "--input", str(path)])
     assert code in (0, 2, 3)
     if out:  # batch's table is JSON, which holds no NaN or Infinity

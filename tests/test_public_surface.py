@@ -19,7 +19,7 @@ def test_readme_library_example():
     """Runs the python block under "## Library"; a line `expr  # value`
     must give `value` as its repr, or a repr starting with it where the
     comment ends in "..."."""
-    library = README.read_text().split("## Library", 1)[1]
+    library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
     block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     namespace: dict = {}
     stated = []
