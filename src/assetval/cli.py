@@ -401,6 +401,8 @@ def cmd_batch(args, out) -> int:
         raise
     except OSError as exc:
         raise CliError(f"--input: cannot read {args.input!r} ({exc.strerror or exc})") from None
+    except UnicodeEncodeError as exc:  # a name the file system's encoding cannot hold
+        raise CliError(f"--input: cannot read {args.input!r} ({exc})") from None
     except (ValueError, csv.Error, RecursionError) as exc:
         # not UTF-8, not JSON, a CSV cell over csv.field_size_limit(), or JSON nested too deep
         raise CliError(f"--input: cannot parse {args.input!r} ({exc})") from None
@@ -490,6 +492,32 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser, which hands a command's flags straight to its subparser.
+
+    On argparse's own path the top-level parser first scans every token, then
+    its subparsers action passes them all to the command's parser, which
+    parses them again. This takes the action's steps without the first scan,
+    so the namespace, the errors and their usage lines stay argparse's own.
+    """
+
+    commands: dict[str, argparse.ArgumentParser] = {}  # name -> subparser, set by _template
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        # argparse's first scan fails, with the top-level usage, on a token that
+        # abbreviates both --help and --version ("--=x"; "-=x" on some versions):
+        # an argv holding "-=" takes argparse's own path, so that error stays.
+        if not args or args[0] not in self.commands or "-=" in " ".join(args):
+            return super().parse_known_args(args, namespace)
+        namespace = argparse.Namespace() if namespace is None else namespace
+        namespace.command = args[0]
+        sub_namespace, extras = self.commands[args[0]].parse_known_args(args[1:], None)
+        for key, value in vars(sub_namespace).items():
+            setattr(namespace, key, value)
+        return namespace, extras  # parse_args reports extras with the top-level usage
+
+
 @functools.cache
 def _template() -> argparse.ArgumentParser:
     """The argparse tree, built once per process on first use."""
@@ -501,16 +529,19 @@ def _template() -> argparse.ArgumentParser:
         help="omit the timestamp so identical runs are byte-identical",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="assetval",
         description="Intrinsic (time-value-of-money) valuation and depreciation of assets",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser
+    )
     for name, (help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         for flag, options in flags.items():
             p.add_argument(flag, **options)
+    parser.commands = sub.choices
     return parser
 
 

@@ -45,6 +45,20 @@ class SweepReport:
     values: tuple[tuple[float, ...], ...]  # values[rate_index][age]
 
 
+# The most periods a schedule, comparison or sweep may have: every row is
+# built in memory before any is written, so a longer lifetime would not finish.
+MAX_PERIODS = 1_000_000
+
+
+def _periods(asset: AssetSpec) -> int:
+    """The asset's lifetime as a whole number of periods, at most MAX_PERIODS."""
+    life = _as_period(asset.lifetime, "lifetime")
+    if life > MAX_PERIODS:
+        raise InvalidInput(f"lifetime must be at most {MAX_PERIODS} periods for a schedule, "
+                           f"comparison or sweep, got {asset.lifetime!r}", field="lifetime")
+    return life
+
+
 _CLASSIC_BOOK = {
     Method.STRAIGHT_LINE: straight_line_book_value,
     Method.DOUBLE_DECLINING: double_declining_book_value,
@@ -58,12 +72,13 @@ def build_schedule(
     """One row per period 1..lifetime with end-of-period expense and book value.
 
     Intrinsic schedules need a rate (rate 0 degenerates to straight-line);
-    classical methods ignore it. Rows are zipped, with no Python loop, from one
-    expense call (intrinsic_depreciation(n - 1, n), or a classical book's drop)
-    and one book call per period n; the benchmark's tracer counts these calls,
-    so their functions are looked up at call time.
+    classical methods ignore it. Rows are zipped with no Python loop: intrinsic
+    ones from one intrinsic_depreciation(n - 1, n) call per period n and the
+    value curve's books, classical ones from one book call per period and each
+    book's drop. The benchmark's tracer counts those calls, so their functions
+    are looked up at call time. At most MAX_PERIODS periods.
     """
-    life = _as_period(asset.lifetime, "lifetime")
+    life = _periods(asset)
     periods = range(1, life + 1)
     if method is not Method.INTRINSIC:
         books = list(map(partial(_CLASSIC_BOOK[method], asset), periods))
@@ -71,7 +86,7 @@ def build_schedule(
     elif rate is None:
         raise MissingRate("intrinsic schedules require a discount rate", field="rate")
     else:
-        books = map(_value_curve(asset, rate), periods)
+        books = _value_curve(asset, rate, periods)
         expenses = map(partial(intrinsic_depreciation, asset, rate), range(life), periods)
     return Schedule(tuple(map(_ROW, zip(expenses, books))))
 
@@ -89,8 +104,8 @@ def rate_sweep(asset: AssetSpec, rates: list[DiscountRate]) -> SweepReport:
     """Intrinsic value at every integer age 0..lifetime, one row per rate."""
     if not rates:
         raise InvalidInput("at least one rate is required", field="rates")
-    life = _as_period(asset.lifetime, "lifetime")
-    values = tuple(tuple(map(_value_curve(asset, r), range(life + 1))) for r in rates)
+    ages = range(_periods(asset) + 1)
+    values = tuple(tuple(_value_curve(asset, r, ages)) for r in rates)
     return SweepReport(values)
 
 
@@ -100,9 +115,9 @@ def chord_gap(asset: AssetSpec, rate: DiscountRate) -> float:
     Evaluated by brute force on the integer age grid; non-negative, and
     grows with the rate (the curve bows further above the chord).
     """
-    life = _as_period(asset.lifetime, "lifetime")
-    value = _value_curve(asset, rate)
-    return max(value(a) - asset.cost * (1.0 - a / life) for a in range(life + 1))
+    life = _periods(asset)
+    values = _value_curve(asset, rate, range(life + 1))
+    return max(v - asset.cost * (1.0 - a / life) for a, v in enumerate(values))
 
 
 def trade_surplus(

@@ -276,18 +276,19 @@ class TestSweep:
         assert "--rates" in capsys.readouterr().err
 
     def test_each_value_evaluated_once(self, monkeypatch):
-        """The chord gaps come from the values the sweep prints: 2 rates x 11 ages."""
-        calls = []
-        value_at = core._value_at
+        """The chord gaps come from the values the sweep prints: one value curve
+        of 11 ages per rate."""
+        ages = []
+        value_curve = schedule._value_curve
 
-        def counted(*args):
-            calls.append(args)
-            return value_at(*args)
+        def counted(asset, rate, curve_ages):
+            ages.append(len(curve_ages))
+            return value_curve(asset, rate, curve_ages)
 
-        monkeypatch.setattr(core, "_value_at", counted)
+        monkeypatch.setattr(schedule, "_value_curve", counted)
         code, _ = run("sweep", "--cost", "100", "--life", "10", "--rates", "0.05,0.2")
         assert code == 0
-        assert len(calls) == 22
+        assert ages == [11, 11]
 
 
 class TestSurplus:
@@ -333,6 +334,20 @@ class TestSurplus:
                       "--seller-rate", "0.05", "--buyer-rate", "0.2")
         assert code == 0
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize("lifetime", ["1e20", "1000001"])
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--method", "sl", "--format", "csv"],
+    ["compare", "--methods", "intrinsic,syd", "--rate", "0.2"],
+    ["sweep", "--rates", "0.2", "--format", "json"],
+])
+def test_too_many_periods_exit_2_naming_life(argv, lifetime, capsys):
+    """Rejected at once: a schedule of 1e20 rows would never finish."""
+    code, out = run(*argv, "--cost", "100", "--life", lifetime)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        "error: --life: lifetime must be at most 1000000 periods")
 
 
 class TestBatch:
@@ -452,6 +467,23 @@ class TestBatch:
         code, out = run("batch", "--input", path, "--output", str(tmp_path / "\ud800.json"))
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.startswith("error: --output: cannot write")
+
+    def test_input_name_the_file_system_cannot_encode_exit_2(self, tmp_path, capsys):
+        code, out = run("batch", "--input", str(tmp_path / "\ud800.csv"))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --input: cannot read")
+
+    @pytest.mark.parametrize("lifetime", ["1e20", "1000001"])
+    def test_record_with_too_many_periods_fails(self, tmp_path, lifetime):
+        path = self.write_registry(
+            tmp_path, f"id,cost,lifetime,rate\nlong,100,{lifetime},0.2\nshort,100,2,0.2\n")
+        code, out = run("batch", "--input", path, "--format", "json", "--deterministic")
+        payload = json.loads(out)["payload"]
+        assert code == 3
+        assert [entry["id"] for entry in payload["entries"]] == ["short"]
+        [error] = payload["errors"]
+        assert error["id"] == "long"
+        assert error["reason"].startswith("lifetime must be at most 1000000 periods")
 
     def test_id_the_report_cannot_encode_exit_2(self, tmp_path, capsys):
         path = self.write_registry(

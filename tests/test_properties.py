@@ -1,5 +1,6 @@
 """Properties checked with Hypothesis: the closed forms and schedules over
 wide input ranges, schedule rows bit for bit against a per-period loop,
+the value curve, rate_sweep and chord_gap bit for bit against the point path,
 the CLI's JSON writer (schedule rows included) against the json module
 over the shapes that payloads hold, money rounded once for CSV as for JSON,
 batch CSV rows against the csv module, bad command-line and registry tokens
@@ -39,6 +40,7 @@ from assetval import (
     intrinsic_depreciation,
     intrinsic_value,
     present_cost,
+    rate_sweep,
     straight_line_book_value,
     sum_of_years_book_value,
     trade_surplus,
@@ -53,7 +55,7 @@ from assetval.cli import (
     fmt_money,
     main,
 )
-from assetval.core import _value_curve
+from assetval.core import _discount, _value_at, _value_curve
 
 CLASSIC_BOOK = {
     Method.STRAIGHT_LINE: straight_line_book_value,
@@ -190,7 +192,8 @@ def loop_rows(asset, method, rate):
     build_schedule made them before it zipped its rows: the reference that
     its rows must equal bit for bit."""
     if method is Method.INTRINSIC:
-        book_at, drop = _value_curve(asset, rate), partial(intrinsic_depreciation, asset, rate)
+        book_at = partial(_value_at, asset.cost, asset.lifetime, *_discount(asset, rate))
+        drop = partial(intrinsic_depreciation, asset, rate)
     else:
         book_at, drop = partial(CLASSIC_BOOK[method], asset), None
     rows, prev = [], asset.cost
@@ -224,6 +227,27 @@ def test_schedule_rows_equal_the_loop_bit_for_bit(inputs):
         assert all(type(row) is ScheduleRow for row in rows)
         want = [(float.hex(e), float.hex(b)) for e, b in loop_rows(asset, method, rate)]
         assert [(float.hex(e), float.hex(b)) for e, b in rows] == want
+
+
+@SETTINGS
+@given(schedule_inputs(), st.lists(st.floats(0.0, 1.0), max_size=5))
+@example((AssetSpec(100, 10), DiscountRate(0.2)), [0.5])
+@example((AssetSpec(3, 7.0), DiscountRate(0.0)), [1.0, 0.25])
+@example((AssetSpec(1, 2000.0), DiscountRate(2.0**-53 / 2000 / 2)), [])
+def test_value_curve_equals_the_point_path_bit_for_bit(inputs, fractions):
+    """The value curve is _value_at age by age, at whole and fractional ages,
+    and rate_sweep and chord_gap, which read it, equal their per-point forms."""
+    asset, rate = inputs
+    life = int(asset.lifetime)
+    ages = [*range(life + 1), *(f * asset.lifetime for f in fractions)]
+    point = partial(_value_at, asset.cost, asset.lifetime, *_discount(asset, rate))
+    assert list(map(float.hex, _value_curve(asset, rate, ages))) == [
+        float.hex(point(a)) for a in ages]
+    values = [intrinsic_value(asset, rate, a).amount for a in range(life + 1)]
+    assert list(map(float.hex, rate_sweep(asset, [rate, rate]).values[1])) == list(
+        map(float.hex, values))
+    gap = max(v - asset.cost * (1.0 - a / life) for a, v in enumerate(values))
+    assert float.hex(chord_gap(asset, rate)) == float.hex(gap)
 
 
 @SETTINGS

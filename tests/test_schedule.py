@@ -112,6 +112,29 @@ class TestBuildSchedule:
         assert hash(again.rows) == hash(sched.rows)
 
 
+class TestPeriodLimit:
+    def test_boundary(self):
+        limit = schedule.MAX_PERIODS
+        assert schedule._periods(AssetSpec(1, limit)) == limit
+        assert schedule._periods(AssetSpec(1, float(limit))) == limit
+        with pytest.raises(InvalidInput) as exc:
+            schedule._periods(AssetSpec(1, limit + 1))
+        assert exc.value.field == "lifetime"
+
+    @pytest.mark.parametrize("lifetime", [1e20, 1_000_001])
+    @pytest.mark.parametrize("build", [
+        lambda asset: build_schedule(asset, Method.STRAIGHT_LINE),
+        lambda asset: build_schedule(asset, Method.INTRINSIC, R20),
+        lambda asset: compare_methods(asset, [Method.SUM_OF_YEARS]),
+        lambda asset: rate_sweep(asset, [R20]),
+        lambda asset: chord_gap(asset, R20),
+    ])
+    def test_every_builder_rejects_too_many_periods(self, build, lifetime):
+        with pytest.raises(InvalidInput, match="at most 1000000 periods") as exc:
+            build(AssetSpec(cost=100, lifetime=lifetime))
+        assert exc.value.field == "lifetime"
+
+
 class TestCompareMethods:
     def test_aligned_report(self):
         report = compare_methods(ASSET, ALL_METHODS, R20)
