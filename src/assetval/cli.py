@@ -63,13 +63,15 @@ def _money(x: float) -> float:
     return round(x, 4) + 0.0
 
 
-def _parse_number(token: str, flag: str) -> float:
+def _parse_number(token: str, flag: str, typed: str | None = None) -> float:
+    """token as a finite float; errors quote typed, the text as the user gave
+    it, if token is a part of it."""
     try:
         value = float(token)
     except (TypeError, ValueError):
-        raise CliError(f"{flag}: cannot parse number {token!r}") from None
+        raise CliError(f"{flag}: cannot parse number {token if typed is None else typed!r}") from None
     if not math.isfinite(value):
-        raise CliError(f"{flag}: must be finite, got {token!r}")
+        raise CliError(f"{flag}: must be finite, got {token if typed is None else typed!r}")
     return value + 0.0  # '-0' is zero without a sign, as JSON writes it
 
 
@@ -80,7 +82,7 @@ def parse_rate(token: str, flag: str) -> DiscountRate:
     if text.endswith("%"):
         text = text[:-1].strip()
         scale = 0.01
-    value = _parse_number(text, flag) * scale
+    value = _parse_number(text, flag, token) * scale
     if value < 0:
         raise CliError(f"{flag}: rate must be non-negative, got {token!r}")
     return DiscountRate(value)
@@ -493,29 +495,60 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """The top-level parser, which hands a command's flags straight to its subparser.
+    """The top-level parser, which parses a well-formed command without argparse.
 
-    On argparse's own path the top-level parser first scans every token, then
-    its subparsers action passes them all to the command's parser, which
-    parses them again. This takes the action's steps without the first scan,
-    so the namespace, the errors and their usage lines stay argparse's own.
+    A well-formed argv is a command name, then only that command's option
+    strings spelled in full, each store flag followed by a value that does
+    not start with "-" (one of its choices, if it has any), with every
+    required flag given; _exact gives it the namespace argparse's own path
+    gives it. Every other argv (-h, --x=v, an abbreviation, a value starting
+    with "-", a missing or extra token, a bad choice, "--") takes argparse's
+    own path, so help, errors, their usage lines and exit codes stay its own.
     """
 
-    commands: dict[str, argparse.ArgumentParser] = {}  # name -> subparser, set by _template
+    # name -> ({option string: action}, {dest: default}, [required dest]), set by _template
+    plans: dict[str, tuple[dict, dict, list]] = {}
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        # argparse's first scan fails, with the top-level usage, on a token that
-        # abbreviates both --help and --version ("--=x"; "-=x" on some versions):
-        # an argv holding "-=" takes argparse's own path, so that error stays.
-        if not args or args[0] not in self.commands or "-=" in " ".join(args):
+        values = self._exact(args) if args and namespace is None else None
+        if values is None:
             return super().parse_known_args(args, namespace)
-        namespace = argparse.Namespace() if namespace is None else namespace
-        namespace.command = args[0]
-        sub_namespace, extras = self.commands[args[0]].parse_known_args(args[1:], None)
-        for key, value in vars(sub_namespace).items():
-            setattr(namespace, key, value)
-        return namespace, extras  # parse_args reports extras with the top-level usage
+        return argparse.Namespace(**values), []
+
+    def _exact(self, args: list[str]) -> dict | None:
+        """The namespace of args as a dict, or None if args are not of the exact form."""
+        plan = self.plans.get(args[0])
+        if plan is None:
+            return None
+        options, defaults, required = plan
+        values = {"command": args[0], **defaults}
+        tokens = iter(args[1:])
+        for token in tokens:
+            action = options.get(token)
+            if action is None:
+                return None
+            if action.nargs == 0:  # store_true
+                values[action.dest] = action.const
+                continue
+            value = next(tokens, "-")  # a store flag with no value left bails
+            if value.startswith("-") or action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        return values if all(dest in values for dest in required) else None
+
+
+def _plan(parser: argparse.ArgumentParser) -> tuple[dict, dict, list]:
+    """A subparser's exact-path table, from its own actions: its store flags
+    (no type, one value) and store_true flags by option string, the defaults
+    of those not required, and the dests of those required. Any other action
+    (-h) is left out, so an argv that names it takes argparse's path."""
+    actions = [a for a in parser._actions
+               if type(a) is argparse._StoreTrueAction
+               or type(a) is argparse._StoreAction and a.type is None and a.nargs is None]
+    return ({option: a for a in actions for option in a.option_strings},
+            {a.dest: a.default for a in actions if not a.required},
+            [a.dest for a in actions if a.required])
 
 
 @functools.cache
@@ -541,7 +574,7 @@ def _template() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help_text)
         for flag, options in flags.items():
             p.add_argument(flag, **options)
-    parser.commands = sub.choices
+    parser.plans = {name: _plan(p) for name, p in sub.choices.items()}
     return parser
 
 

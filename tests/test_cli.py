@@ -55,6 +55,17 @@ class TestValue:
         assert code == 0
         assert out == "71.3329\n"
 
+    @pytest.mark.parametrize("rate, message", [
+        ("x%", "cannot parse number 'x%'"),
+        ("%", "cannot parse number '%'"),
+        (" x ", "cannot parse number ' x '"),
+        ("nan%", "must be finite, got 'nan%'"),
+        (" inf % ", "must be finite, got ' inf % '"),
+    ])
+    def test_rate_error_quotes_the_rate_as_typed(self, capsys, rate, message):
+        assert run("value", "--cost", "100", "--life", "10", "--rate", rate) == (2, "")
+        assert capsys.readouterr().err == f"error: --rate: {message}\n"
+
     def test_json_envelope(self):
         code, out = run(
             "value", "--cost", "100", "--life", "10", "--rate", "0.2", "--age", "5",
@@ -404,6 +415,17 @@ class TestBatch:
         assert out == ""
         payload = json.loads(out_path.read_text())["payload"]
         assert payload["entries"][0]["value"] == 71.3329
+
+    def test_rate_error_quotes_the_rate_as_typed(self, tmp_path):
+        path = self.write_registry(
+            tmp_path, "id,cost,lifetime,rate\na,100,10,x%\nb,100,10,nan %\nc,100,10, y \n")
+        code, out = run("batch", "--input", path, "--format", "json", "--deterministic")
+        assert code == 3
+        assert json.loads(out)["payload"]["errors"] == [
+            {"id": "a", "reason": "rate: cannot parse number 'x%'"},
+            {"id": "b", "reason": "rate: must be finite, got 'nan %'"},
+            {"id": "c", "reason": "rate: cannot parse number ' y '"},
+        ]
 
     def test_duplicate_id_reported(self, tmp_path):
         path = self.write_registry(
