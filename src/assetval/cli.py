@@ -39,7 +39,7 @@ from .classic import Method
 from .core import AssetSpec, DiscountRate, delayed_present_cost, intrinsic_value, present_cost
 from .errors import InvalidInput
 # chord_gap and trade_surplus are not called here; the benchmark's tracer patches them by name
-from .schedule import build_schedule, chord_gap, compare_methods, rate_sweep, trade_surplus
+from .schedule import MAX_PERIODS, build_schedule, chord_gap, compare_methods, rate_sweep, trade_surplus
 
 METHOD_TOKENS = {
     "intrinsic": Method.INTRINSIC,
@@ -142,69 +142,89 @@ def _emit_json(out, command: str, payload: dict, deterministic: bool) -> None:
     out.write("\n")
 
 
-def _emit_csv(out, header: list[str], rows: Iterable[list[str]]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _write_long(write, text: str) -> None:
+    """Pass text to write in pieces of at most 4096 characters, all ASCII here.
+
+    A pipe takes a write of up to PIPE_BUF (4096 bytes on Linux) whole or
+    not at all. An unbuffered stdout (python -u, PYTHONUNBUFFERED) hands
+    each write to the pipe as it is and ignores a short count, so a larger
+    write that meets a reader closing would report success for part of its
+    text; a piece of this size fails with BrokenPipeError instead.
+    """
+    for start in range(0, len(text), 4096):
+        write(text[start:start + 4096])
 
 
-def _emit_table(out, header: list[str], rows: list[list[str]]) -> None:
-    widths = [max(map(len, column)) for column in zip(header, *rows)]
-    out.write("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip() + "\n")
-    for row in rows:
-        out.write("  ".join(c.rjust(widths[i]) for i, c in enumerate(row)) + "\n")
+def _emit_csv(out, header: list[str], body: str) -> None:
+    csv.writer(out, lineterminator="\n").writerow(header)
+    _write_long(out.write, body)
 
 
-def _render(out, args, command: str, header: list[str], rows: Iterable[Sequence[str | float]],
-            payload: dict, *, labels: list[str] | None = None) -> None:
-    """Write one command's result in the format --format names.
+def _emit_table(out, header: list[str], body: str) -> None:
+    """body's lines, CSV cells with no space, right-justified under header."""
+    cells, k = body.replace(",", " ").split(), len(header)
+    widths = [max(len(h), *map(len, cells[i::k])) for i, h in enumerate(header)]
+    out.write("  ".join(map(str.ljust, header, widths)).rstrip() + "\n")
+    line = "  ".join(["%%%ds" % w for w in widths]) + "\n"
+    _write_long(out.write, line * (len(cells) // k) % tuple(cells))
 
-    header and rows are the table; each row holds strings and money as
-    floats, and is formatted as it is written, so rows may be a generator.
-    payload is what --format json writes. With labels (value, surplus: always
-    one row), --format table prints one line per column, the label and the
-    cell, or the bare cell where the label is empty.
+
+def _render(out, args, command: str, header: list[str], lines: str, cells: Iterable[float],
+            payload: Callable[[], dict], *, labels: list[str] | None = None) -> None:
+    """Write one command's result in the format --format names, building only what it writes.
+
+    header and lines % cells are the table: lines is the CSV template of
+    every line, whose money cells "%.4f" writes and whose other cells are
+    periods ("%d") or text. payload() is what --format json writes. With
+    labels (value, surplus: always one line), --format table prints one line
+    per column, the label and the cell, or the bare cell where the label is empty.
     """
     if args.format == "json":
-        _emit_json(out, command, payload, args.deterministic)
+        _emit_json(out, command, payload(), args.deterministic)
         return
-    cells = ([c if isinstance(c, str) else fmt_money(c) for c in row] for row in rows)
+    # body holds only numbers and "chord_gap", and "%.4f" writes four decimals,
+    # so "-0.0000" is a whole cell
+    body = (lines % tuple(cells)).replace("-0.0000", "0.0000")
     if args.format == "csv":
-        _emit_csv(out, header, cells)
-    elif labels is not None:
-        width = max(map(len, labels))
-        for label, cell in zip(labels, next(cells)):
-            out.write(f"{label.ljust(width)}  {cell}\n" if label else f"{cell}\n")
+        _emit_csv(out, header, body)
+    elif labels is None:
+        _emit_table(out, header, body)
     else:
-        _emit_table(out, header, list(cells))
+        width = max(map(len, labels))
+        for label, cell in zip(labels, body[:-1].split(",")):
+            out.write(f"{label.ljust(width)}  {cell}\n" if label else f"{cell}\n")
 
 
-# The zeros after a money cell's first decimal, in the text of _schedule_json's
-# "%.4f" rows: each such cell ends at "," (expense) or "\n" (book_value). A
-# pattern, not a compiled one: re compiles it on first use, so a command that
-# writes no schedule does not pay for it at start-up.
+# The zeros after a money cell's first decimal, in JSON text that "%.4f" wrote:
+# each such cell ends at "," or "\n". A pattern, not a compiled one: re
+# compiles it on first use, so a command that writes no money list does not
+# pay for it at start-up.
 _SURPLUS_ZEROS = r"0(?:00(?<=\.\d000)|0(?<=\.\d[1-9]00)|(?<=\.\d\d[1-9]0))(?=[,\n])"
 
 
-def _schedule_json(rows: Sequence[tuple[float, float]]) -> Callable[[str], str]:
-    """A schedule's rows, never empty and all finite, as _write_json writes them at pad:
-    objects of period (from 1), expense and book_value, money as _money rounds it."""
+def _json_rows(row: str, cells: tuple) -> Callable[[str], str]:
+    """A list, never empty, as _write_json writes it at pad: each item is row
+    % its share of cells, where row is json.dumps's text of one item at the
+    top level with "%.4f" for each money cell. Money, all finite, is written
+    as _money rounds it."""
     def text(pad: str) -> str:
         inner = pad + "  "
-        if max(map(abs, chain.from_iterable(rows))) >= 1e11:
-            row = '{%s  "period": %%d,%s  "expense": %%r,%s  "book_value": %%r%s}' % ((inner,) * 4)
-            return "[" + inner + ("," + inner).join([
-                row % (n, round(e, 4) + 0.0, round(b, 4) + 0.0) for n, (e, b) in enumerate(rows, 1)
-            ]) + pad + "]"
+        items = [row.replace("\n", inner)] * (len(cells) // row.count("%"))
+        template = "[" + inner + ("," + inner).join(items) + pad + "]"
+        if max(map(abs, cells)) >= 1e11:  # %r of each cell; "%d" prints a rounded period as itself
+            return template.replace("%.4f", "%r") % tuple(map(_money, cells))
         # Below 1e11, "%.4f" % x has at most 15 significant digits, so it is the
         # decimal that round(x, 4) is nearest to and repr prints it with its
         # trailing zeros cut: the two paths write the same bytes.
-        row = '{%s  "period": %%d,%s  "expense": %%.4f,%s  "book_value": %%.4f%s}' % ((inner,) * 4)
-        n = len(rows)
-        body = ("," + inner).join([row] * n) % tuple(
-            chain.from_iterable(zip(range(1, n + 1), *zip(*rows))))
-        return "[" + inner + re.sub(_SURPLUS_ZEROS, "", body.replace(" -0.0000", " 0.0000")) + pad + "]"
+        return re.sub(_SURPLUS_ZEROS, "", (template % cells).replace(" -0.0000", " 0.0000"))
     return text
+
+
+def _schedule_json(rows: Sequence[tuple[float, float]]) -> Callable[[str], str]:
+    """A schedule's rows, never empty and all finite, as _json_rows writes their
+    objects of period (from 1), expense and book_value."""
+    cells = tuple(chain.from_iterable(zip(range(1, len(rows) + 1), *zip(*rows))))
+    return _json_rows('{\n  "period": %d,\n  "expense": %.4f,\n  "book_value": %.4f\n}', cells)
 
 
 # writerow returns what its file's write returns, here the row's text; with a
@@ -234,9 +254,10 @@ def cmd_value(args, out) -> int:
         "present_cost": present_cost(asset, rate).amount,
         "delayed_cost": delayed_present_cost(asset, rate, age).amount,
     } if args.detail else {}
-    payload = {"kind": "intrinsic_value", "age": age, "amount": _money(value),
-               **{k: _money(v) for k, v in detail.items()}}
-    _render(out, args, "value", ["value", *detail], [(value, *detail.values())], payload,
+    _render(out, args, "value", ["value", *detail], "%.4f" + ",%.4f" * len(detail) + "\n",
+            (value, *detail.values()),
+            lambda: {"kind": "intrinsic_value", "age": age, "amount": _money(value),
+                     **{k: _money(v) for k, v in detail.items()}},
             labels=["", *detail])
     return 0
 
@@ -254,16 +275,15 @@ def cmd_schedule(args, out) -> int:
     asset = parse_asset(args.cost, args.life)
     method = _parse_method(args.method, "--method")
     rate = None if args.rate is None else parse_rate(args.rate, "--rate")
-    sched = build_schedule(asset, method, rate)
-    payload = {
-        "method": method.value,
-        "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
-        "rows": _schedule_json(sched.rows),
-    }
-    if method is Method.INTRINSIC:  # classical schedules do not use the rate
-        payload["rate"] = rate.rate
-    rows = ((str(period), *row) for period, row in enumerate(sched.rows, 1))
-    _render(out, args, "schedule", ["period", "expense", "book_value"], rows, payload)
+    rows = build_schedule(asset, method, rate).rows
+    _render(out, args, "schedule", ["period", "expense", "book_value"],
+            "%d,%.4f,%.4f\n" * len(rows),
+            chain.from_iterable(zip(range(1, len(rows) + 1), *zip(*rows))),
+            lambda: {"method": method.value,
+                     "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
+                     "rows": _schedule_json(rows),
+                     # classical schedules do not use the rate
+                     **({"rate": rate.rate} if method is Method.INTRINSIC else {})})
     return 0
 
 
@@ -272,20 +292,15 @@ def cmd_compare(args, out) -> int:
     tokens = _split(args.methods)
     methods = [_parse_method(t, "--methods") for t in tokens]
     rate = None if args.rate is None else parse_rate(args.rate, "--rate")
-    report = compare_methods(asset, methods, rate)
-    periods = range(1, len(report.schedules[0].rows) + 1)
-    payload = {
-        "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
-        "periods": list(periods),
-        "book_values": {
-            tok: [_money(r.book_value) for r in s.rows]
-            for tok, s in zip(tokens, report.schedules)
-        },
-    }
-    if rate is not None:
-        payload["rate"] = rate.rate
-    rows = ([str(n)] + [s.rows[n - 1].book_value for s in report.schedules] for n in periods)
-    _render(out, args, "compare", ["period"] + tokens, rows, payload)
+    books = [[*zip(*s.rows)][1] for s in compare_methods(asset, methods, rate).schedules]
+    periods = range(1, len(books[0]) + 1)
+    row = "%d" + ",%.4f" * len(books) + "\n"
+    _render(out, args, "compare", ["period"] + tokens, row * len(periods),
+            chain.from_iterable(zip(periods, *books)),
+            lambda: {"asset": {"cost": asset.cost, "lifetime": asset.lifetime},
+                     "periods": list(periods),
+                     "book_values": {tok: _json_rows("%.4f", b) for tok, b in zip(tokens, books)},
+                     **({} if rate is None else {"rate": rate.rate})})
     return 0
 
 
@@ -293,20 +308,17 @@ def cmd_sweep(args, out) -> int:
     asset = parse_asset(args.cost, args.life)
     tokens = _split(args.rates)
     rates = [parse_rate(t, "--rates") for t in tokens]
-    report = rate_sweep(asset, rates)
-    ages = range(len(report.values[0]))
+    values = rate_sweep(asset, rates).values
+    ages = range(len(values[0]))
     chord = [asset.cost * (1.0 - a / asset.lifetime) for a in ages]
-    gaps = [max(map(sub, values, chord)) for values in report.values]  # bit for bit as chord_gap
-    payload = {
-        "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
-        "ages": list(ages),
-        "rates": [r.rate for r in rates],
-        "values": {tok: [_money(v) for v in vals] for tok, vals in zip(tokens, report.values)},
-        "chord_gap": {tok: _money(g) for tok, g in zip(tokens, gaps)},
-    }
-    rows = [[str(a)] + [values[a] for values in report.values] for a in ages]
-    rows.append(["chord_gap"] + gaps)
-    _render(out, args, "sweep", ["age"] + tokens, rows, payload)
+    gaps = [max(map(sub, curve, chord)) for curve in values]  # bit for bit as chord_gap
+    row = ",%.4f" * len(gaps) + "\n"
+    _render(out, args, "sweep", ["age"] + tokens, ("%d" + row) * len(ages) + "chord_gap" + row,
+            chain(chain.from_iterable(zip(ages, *values)), gaps),
+            lambda: {"asset": {"cost": asset.cost, "lifetime": asset.lifetime}, "ages": list(ages),
+                     "rates": [r.rate for r in rates],
+                     "values": {tok: _json_rows("%.4f", curve) for tok, curve in zip(tokens, values)},
+                     "chord_gap": {tok: _money(g) for tok, g in zip(tokens, gaps)}})
     return 0
 
 
@@ -318,16 +330,11 @@ def cmd_surplus(args, out) -> int:
     buyer_value = intrinsic_value(asset, buyer, age).amount
     seller_value = intrinsic_value(asset, seller, age).amount
     surplus = buyer_value - seller_value  # bit for bit as trade_surplus
-    payload = {
-        "age": age,
-        "seller_rate": seller.rate,
-        "buyer_rate": buyer.rate,
-        "buyer_value": _money(buyer_value),
-        "seller_value": _money(seller_value),
-        "surplus": _money(surplus),
-    }
     header = ["buyer_value", "seller_value", "surplus"]
-    _render(out, args, "surplus", header, [(buyer_value, seller_value, surplus)], payload,
+    _render(out, args, "surplus", header, "%.4f,%.4f,%.4f\n", (buyer_value, seller_value, surplus),
+            lambda: {"age": age, "seller_rate": seller.rate, "buyer_rate": buyer.rate,
+                     "buyer_value": _money(buyer_value), "seller_value": _money(seller_value),
+                     "surplus": _money(surplus)},
             labels=header)
     return 0
 
@@ -466,6 +473,9 @@ def cmd_batch(args, out) -> int:
 
 REQUIRED = {"required": True}
 ASSET_FLAGS = {"--cost": REQUIRED, "--life": REQUIRED}
+# schedule, compare and sweep take a whole number of periods
+_PERIOD_FLAGS = {**ASSET_FLAGS,
+                 "--life": {**REQUIRED, "help": f"whole number of periods, at most {MAX_PERIODS}"}}
 
 # name -> (help, {flag: add_argument options}); main runs cmd_<name>.
 COMMANDS = {
@@ -474,15 +484,15 @@ COMMANDS = {
         "--detail": {"action": "store_true", "help": "also report present and delayed cost"},
     }),
     "schedule": ("per-period depreciation schedule", {
-        **ASSET_FLAGS, "--rate": {},
+        **_PERIOD_FLAGS, "--rate": {},
         "--method": {"required": True, "help": "intrinsic, sl, ddb or syd"},
     }),
     "compare": ("book values across methods", {
-        **ASSET_FLAGS, "--rate": {},
+        **_PERIOD_FLAGS, "--rate": {},
         "--methods": {"required": True, "help": "comma list of intrinsic, sl, ddb, syd"},
     }),
     "sweep": ("intrinsic value across discount rates", {
-        **ASSET_FLAGS, "--rates": {"required": True, "help": "comma list of per-period rates"},
+        **_PERIOD_FLAGS, "--rates": {"required": True, "help": "comma list of per-period rates"},
     }),
     "surplus": ("buyer/seller valuation gap", {
         **ASSET_FLAGS, "--age": REQUIRED, "--seller-rate": REQUIRED, "--buyer-rate": REQUIRED,

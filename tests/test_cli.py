@@ -193,6 +193,22 @@ class TestSchedule:
             assert proc.wait(timeout=60) == 141
             assert proc.stderr.read() == b""
 
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_long_output_written_in_pipe_buf_pieces(self, fmt):
+        # A pipe takes at most PIPE_BUF (4096) bytes whole or not at all; an
+        # unbuffered stdout would drop the rest of a larger write at a closing
+        # reader and report success, where the test above wants exit 141.
+        class Pieces(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        sizes, out = [], Pieces()
+        argv = ["schedule", "--cost", "100", "--life", "5000", "--method", "sl", "--format", fmt]
+        assert main(argv, out=out) == 0
+        assert out.getvalue() == run(*argv)[1]
+        assert len(out.getvalue()) > 10 * 4096 and max(sizes) <= 4096
+
 
 class TestCompare:
     ARGS = (

@@ -147,9 +147,15 @@ VALID = {
     "compare-classic": ["compare", *ASSET, "--methods", "ddb,sl"],
     "compare-life1": ["compare", "--cost", "100", "--life", "1", "--rate", "0.2",
                       "--methods", "intrinsic,sl,ddb,syd"],
+    # book values above 1e11, which JSON writes as repr(round(x, 4))
+    "compare-above-1e11": ["compare", "--cost", "822887425440.27", "--life", "3",
+                           "--rate", "1000", "--methods", "intrinsic,sl,ddb,syd"],
     "sweep": ["sweep", *ASSET, "--rates", "0.05,0.2"],
     "sweep-rate0-percent": ["sweep", *ASSET, "--rates", "0,5%, 20%"],
     "sweep-life1": ["sweep", "--cost", "100", "--life", "1", "--rates", "0.05,0.2"],
+    # values just below 1e11, which JSON writes from "%.4f" text, and above it
+    "sweep-below-1e11": ["sweep", "--cost", "99999999999.9999", "--life", "3", "--rates", "1000"],
+    "sweep-above-1e11": ["sweep", "--cost", "822887425440.27", "--life", "3", "--rates", "1000"],
     "surplus": ["surplus", *ASSET, "--age", "5", "--seller-rate", "0.05", "--buyer-rate", "0.2"],
     "surplus-rate0-percent": ["surplus", *ASSET, "--age", "5", "--seller-rate", "0",
                               "--buyer-rate", "20%"],

@@ -1,9 +1,10 @@
 """Properties checked with Hypothesis: the closed forms and schedules over
 wide input ranges, schedule rows bit for bit against a per-period loop,
 the value curve, rate_sweep and chord_gap bit for bit against the point path,
-the CLI's JSON writer (schedule rows included) against the json module
-over the shapes that payloads hold, money rounded once for CSV as for JSON,
-batch CSV rows against the csv module, bad command-line and registry tokens
+the CLI's JSON writer (schedule rows and money lists included) against the
+json module over the shapes that payloads hold, table and CSV rows from
+templates against per-cell rendering, money rounded once for CSV as for
+JSON, batch CSV rows against the csv module, bad command-line and registry tokens
 against exit code 1 and against NaN or Infinity in JSON, CSV cells against
 the JSON payload (batch included), and sweep's chord gaps and surplus
 against chord_gap and trade_surplus.
@@ -23,6 +24,7 @@ import tempfile
 from contextlib import redirect_stderr
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -48,7 +50,9 @@ from assetval import (
 from assetval.cli import (
     COMMANDS,
     METHOD_TOKENS,
+    _json_rows,
     _money,
+    _render,
     _schedule_csv,
     _schedule_json,
     _write_json,
@@ -342,6 +346,76 @@ def test_schedule_rows_written_as_json_module_writes_their_dicts(rows, nesting):
     for in_dict in nesting:
         obj, want = ({"rows": obj}, {"rows": want}) if in_dict else (iter([obj]), [want])
     assert written(obj) == json.dumps(want, indent=2)
+
+
+@SETTINGS
+@given(st.lists(money_doubles, min_size=1, max_size=8), st.lists(st.booleans(), max_size=4))
+@example([1e11], [])
+@example([99999999999.99995, -0.00004], [True])
+@example([-0.00004, 0.00005, -99999999999.99995], [False, True])
+@example([-0.00004, 703275009772.664], [])  # "%.4f" would print 703275009772.6639
+def test_money_lists_written_as_json_module_writes_them(values, nesting):
+    """A money list (compare's book values, sweep's values) at any pad is
+    json.dumps(indent=2) of its _money values, under dicts (True) and
+    iterators (False)."""
+    obj, want = _json_rows("%.4f", tuple(values)), [_money(v) for v in values]
+    for in_dict in nesting:
+        obj, want = ({"values": obj}, {"values": want}) if in_dict else (iter([obj]), [want])
+    assert written(obj) == json.dumps(want, indent=2)
+
+
+# Money cells, those that round to -0.0000 included.
+cell_doubles = money_doubles | st.floats(-5e-5, 0.0, exclude_min=True)
+
+
+@st.composite
+def table_shapes(draw):
+    """(header, rows, lead): the rows of a command's table, each a period or,
+    as sweep's last row, "chord_gap" (lead), then money; or one row of money
+    only (value, surplus)."""
+    width, lead = draw(st.integers(1, 5)), draw(st.booleans())
+    header = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                           min_size=width + lead, max_size=width + lead))
+    money = draw(st.lists(st.lists(cell_doubles, min_size=width, max_size=width),
+                          min_size=1, max_size=6 if lead else 1))
+    rows = [[n, *cells] if lead else cells for n, cells in enumerate(money, 1)]
+    if lead and draw(st.booleans()):
+        rows[-1][0] = "chord_gap"
+    return header, rows, lead
+
+
+@SETTINGS
+@given(table_shapes(), st.sampled_from(["csv", "table"]), st.booleans())
+@example((["age", "0%"], [[1, -0.00004], [2, 1e16], ["chord_gap", -0.0]], True), "table", False)
+@example((["", "b"], [[-4e-5, -0.00005]], False), "table", True)
+@example((["a,b", "c\nd"], [[-4e-5, 0.00005]], False), "csv", False)
+def test_template_rows_match_per_cell_rendering(shape, fmt, labelled):
+    """_render's table and CSV from one "%.4f" template per row shape are the
+    per-cell rendering: fmt_money cells through csv.writer, or the
+    ljust/rjust table, or with labels one line per cell. The JSON payload is
+    never built."""
+    header, rows, lead = shape
+    labels = header if labelled and not lead else None
+    lines = "".join(("chord_gap," if row[0] == "chord_gap" else "%d," if lead else "")
+                    + ",".join(["%.4f"] * (len(row) - lead)) + "\n" for row in rows)
+    buf = io.StringIO()
+    _render(buf, SimpleNamespace(format=fmt), "cmd", header, lines,
+            [c for row in rows for c in row if c != "chord_gap"], pytest.fail, labels=labels)
+    cells = [[c if isinstance(c, str) else str(c) if isinstance(c, int) else fmt_money(c)
+              for c in row] for row in rows]
+    want = io.StringIO()
+    if fmt == "csv":
+        csv.writer(want, lineterminator="\n").writerows([header, *cells])
+    elif labels is not None:
+        width = max(map(len, labels))
+        for label, cell in zip(labels, cells[0]):
+            want.write(f"{label.ljust(width)}  {cell}\n" if label else f"{cell}\n")
+    else:
+        widths = [max(map(len, column)) for column in zip(header, *cells)]
+        want.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
+        for row in cells:
+            want.write("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n")
+    assert buf.getvalue() == want.getvalue()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
