@@ -112,15 +112,16 @@ def _json_scalar(obj) -> str:
 def _write_json(write, obj, pad: str = "\n") -> None:
     """Pass json.dumps(obj, indent=2) to write, at the indent of pad ("\n"
     and spaces): dicts key by key and iterators item by item, so an iterator
-    under dicts is consumed as it is written; a list, of scalars only, in one
-    piece; a callable returns its own text given pad."""
+    under dicts is consumed as it is written; a list (ages, periods, rates:
+    ints and floats only) in one piece from its items' reprs; a callable
+    returns its own text given pad."""
     inner = pad + "  "
     if isinstance(obj, dict):
         opener, closer, items = "{", "}", ((f"{_json_str(k)}: ", v) for k, v in obj.items())
     elif isinstance(obj, Iterator):
         opener, closer, items = "[", "]", (("", v) for v in obj)
     elif isinstance(obj, list):
-        write("[" + inner + f",{inner}".join(map(_json_scalar, obj)) + pad + "]" if obj else "[]")
+        write("[" + inner + f",{inner}".join(map(repr, obj)) + pad + "]" if obj else "[]")
         return
     else:  # a callable is text that writes itself, such as _schedule_json's
         write(obj(pad) if callable(obj) else _json_scalar(obj))

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .errors import (
@@ -78,10 +79,15 @@ class Valuation(NamedTuple):
     Present and delayed cost are expenses and carry a negative amount;
     intrinsic value lies in [0, cost]. A NamedTuple, because every point
     valuation builds one: a frozen dataclass assigns each field through
-    object.__setattr__, which costs several times the formula.
+    object.__setattr__, which costs several times the formula. The point
+    functions build it through tuple.__new__ (_VALUATION), since the
+    NamedTuple's own __new__ is a Python function, one more frame per call.
     """
 
     amount: float
+
+
+_VALUATION = partial(tuple.__new__, Valuation)  # (amount,) -> Valuation with no Python frame
 
 
 def check_age(asset: AssetSpec, age: float, *, name: str = "age") -> None:
@@ -125,7 +131,7 @@ def present_cost(asset: AssetSpec, rate: DiscountRate) -> Valuation:
     rate 0, where the perpetuity does not converge, and InvalidInput where
     the amount does not fit a double.
     """
-    return Valuation(_chain_cost(asset, rate, 0.0, "present cost"))
+    return _VALUATION((_chain_cost(asset, rate, 0.0, "present cost"),))
 
 
 def delayed_present_cost(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuation:
@@ -134,32 +140,18 @@ def delayed_present_cost(asset: AssetSpec, rate: DiscountRate, age: float) -> Va
     Equals present_cost discounted by (1+r)^(lifetime - age). Negative.
     """
     check_age(asset, age)
-    return Valuation(_chain_cost(asset, rate, asset.lifetime - age, "delayed cost"))
-
-
-def _discount(asset: AssetSpec, rate: DiscountRate) -> tuple[float, float]:
-    """g = log1p(r) and E = expm1(-l*g), with E = 0.0 where V is the straight line."""
-    g = math.log1p(rate.rate)
-    lg = asset.lifetime * g
-    return g, math.expm1(-lg) if lg >= _STRAIGHT_LINE_BELOW else 0.0
-
-
-def _value_at(cost: float, life: float, g: float, e: float, age: float) -> float:
-    """V(age) on precomputed g and E; the age is unchecked."""
-    if not e:
-        return cost * (1.0 - age / life)
-    # ratio in [0, 1]: V(0) is exactly cost; -((life - age) * g) = -0.0 makes V(life) +0.0
-    return cost * (math.expm1(-((life - age) * g)) / e)
+    return _VALUATION((_chain_cost(asset, rate, asset.lifetime - age, "delayed cost"),))
 
 
 def _value_curve(asset: AssetSpec, rate: DiscountRate, ages: Iterable[float]) -> list[float]:
-    """V at each of ages, unchecked: _value_at's operations, in one frame."""
+    """V at each of ages, unchecked: intrinsic_value's operations, in one frame."""
     cost, life = asset.cost, asset.lifetime
-    g, e = _discount(asset, rate)
-    if not e:
-        return [cost * (1.0 - age / life) for age in ages]
-    expm1 = math.expm1
-    return [cost * (expm1(-((life - age) * g)) / e) for age in ages]
+    g = math.log1p(rate.rate)
+    lg = life * g
+    if lg >= _STRAIGHT_LINE_BELOW:
+        e, expm1 = math.expm1(-lg), math.expm1
+        return [cost * (expm1(-((life - age) * g)) / e) for age in ages]
+    return [cost * (1.0 - age / life) for age in ages]
 
 
 def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuation:
@@ -169,9 +161,15 @@ def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuati
     the two expense terms diverge but their difference does not: below
     l*log1p(r) = 2^-53 (rate 0 included) it is the straight line cost * (1 - age/l).
     """
-    check_age(asset, age)
-    g, e = _discount(asset, rate)
-    return Valuation(_value_at(asset.cost, asset.lifetime, g, e, age))
+    life = asset.lifetime
+    if not 0 <= age <= life:  # NaN and +-inf fail here too
+        check_age(asset, age)
+    g = math.log1p(rate.rate)
+    lg = life * g
+    if lg >= _STRAIGHT_LINE_BELOW:
+        # ratio in [0, 1]: V(0) is exactly cost; -((life - age) * g) = -0.0 makes V(life) +0.0
+        return _VALUATION((asset.cost * (math.expm1(-((life - age) * g)) / math.expm1(-lg)),))
+    return _VALUATION((asset.cost * (1.0 - age / life),))
 
 
 def intrinsic_depreciation(
@@ -187,7 +185,7 @@ def intrinsic_depreciation(
         check_age(asset, age_start, name="age_start")
         check_age(asset, age_end, name="age_end")
         raise AgeOrderViolation(f"age_end ({age_end}) precedes age_start ({age_start})")
-    g = math.log1p(rate.rate)  # g and E as _discount computes them
+    g = math.log1p(rate.rate)  # g and E as intrinsic_value computes them
     lg = asset.lifetime * g
     span = age_end - age_start
     if lg >= _STRAIGHT_LINE_BELOW:

@@ -6,6 +6,7 @@ forms were trusted.
 """
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from functools import partial
 from itertools import product
@@ -157,6 +158,36 @@ class TestIntrinsicValue:
         for point in (present_cost(REF_ASSET, R20), delayed_present_cost(REF_ASSET, R20, 5)):
             assert isinstance(point, Valuation)
             assert tuple(point) == (point.amount,)
+
+    @staticmethod
+    def entered(*args):
+        """The code of each Python function that intrinsic_value(*args) enters."""
+        codes = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                codes.append(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            intrinsic_value(*args)
+        except AgeOutOfRange:
+            pass
+        finally:
+            sys.setprofile(None)
+        return codes
+
+    @pytest.mark.parametrize("rate", [R20, DiscountRate(0)])
+    @pytest.mark.parametrize("age", [0, -0.0, 2.5, 10])
+    def test_valid_age_runs_in_one_frame(self, rate, age):
+        # Each helper call (the age check, g and E, V, the NamedTuple's
+        # __new__) costs more than the formula; none may come back.
+        assert self.entered(REF_ASSET, rate, age) == [intrinsic_value.__code__]
+
+    @pytest.mark.parametrize("age", [math.nan, math.inf, -math.inf, -1e-300, 11])
+    def test_bad_age_enters_the_age_check(self, age):
+        codes = self.entered(REF_ASSET, R20, age)
+        assert codes[:2] == [intrinsic_value.__code__, check_age.__code__]
 
 
 class TestLongLifetimes:

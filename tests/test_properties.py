@@ -1,6 +1,8 @@
 """Properties checked with Hypothesis: the closed forms and schedules over
-wide input ranges, schedule rows bit for bit against a per-period loop,
-the value curve, rate_sweep and chord_gap bit for bit against the point path,
+wide input ranges, point valuations bit for bit (or fault for fault)
+against the helper calls they were composed of, schedule rows bit for bit
+against a per-period loop, the value curve, rate_sweep and chord_gap bit
+for bit against the point path,
 the CLI's JSON writer (schedule rows and money lists included) against the
 json module over the shapes that payloads hold, table and CSV rows from
 templates against per-cell rendering, money rounded once for CSV as for
@@ -36,8 +38,10 @@ from assetval import (
     InvalidInput,
     Method,
     ScheduleRow,
+    Valuation,
     build_schedule,
     chord_gap,
+    delayed_present_cost,
     double_declining_book_value,
     intrinsic_depreciation,
     intrinsic_value,
@@ -59,7 +63,7 @@ from assetval.cli import (
     fmt_money,
     main,
 )
-from assetval.core import _discount, _value_at, _value_curve
+from assetval.core import _STRAIGHT_LINE_BELOW, _chain_cost, _value_curve, check_age
 
 CLASSIC_BOOK = {
     Method.STRAIGHT_LINE: straight_line_book_value,
@@ -196,7 +200,8 @@ def loop_rows(asset, method, rate):
     build_schedule made them before it zipped its rows: the reference that
     its rows must equal bit for bit."""
     if method is Method.INTRINSIC:
-        book_at = partial(_value_at, asset.cost, asset.lifetime, *_discount(asset, rate))
+        def book_at(n):
+            return intrinsic_value(asset, rate, n).amount
         drop = partial(intrinsic_depreciation, asset, rate)
     else:
         book_at, drop = partial(CLASSIC_BOOK[method], asset), None
@@ -239,19 +244,93 @@ def test_schedule_rows_equal_the_loop_bit_for_bit(inputs):
 @example((AssetSpec(3, 7.0), DiscountRate(0.0)), [1.0, 0.25])
 @example((AssetSpec(1, 2000.0), DiscountRate(2.0**-53 / 2000 / 2)), [])
 def test_value_curve_equals_the_point_path_bit_for_bit(inputs, fractions):
-    """The value curve is _value_at age by age, at whole and fractional ages,
-    and rate_sweep and chord_gap, which read it, equal their per-point forms."""
+    """The value curve is intrinsic_value age by age, at whole and fractional
+    ages, and rate_sweep and chord_gap, which read it, equal their per-point forms."""
     asset, rate = inputs
     life = int(asset.lifetime)
     ages = [*range(life + 1), *(f * asset.lifetime for f in fractions)]
-    point = partial(_value_at, asset.cost, asset.lifetime, *_discount(asset, rate))
     assert list(map(float.hex, _value_curve(asset, rate, ages))) == [
-        float.hex(point(a)) for a in ages]
+        float.hex(intrinsic_value(asset, rate, a).amount) for a in ages]
     values = [intrinsic_value(asset, rate, a).amount for a in range(life + 1)]
     assert list(map(float.hex, rate_sweep(asset, [rate, rate]).values[1])) == list(
         map(float.hex, values))
     gap = max(v - asset.cost * (1.0 - a / life) for a, v in enumerate(values))
     assert float.hex(chord_gap(asset, rate)) == float.hex(gap)
+
+
+def _discount(asset, rate):
+    """g = log1p(r) and E = expm1(-l*g), with E = 0.0 where V is the straight line."""
+    g = math.log1p(rate.rate)
+    lg = asset.lifetime * g
+    return g, math.expm1(-lg) if lg >= _STRAIGHT_LINE_BELOW else 0.0
+
+
+def _value_at(cost, life, g, e, age):
+    """V(age) on precomputed g and E; the age is unchecked."""
+    if not e:
+        return cost * (1.0 - age / life)
+    return cost * (math.expm1(-((life - age) * g)) / e)
+
+
+def composed_intrinsic_value(asset, rate, age):
+    """intrinsic_value as it was once composed, of four calls: the age check,
+    g and E, the V formula and the NamedTuple's own constructor. The one-frame
+    function must equal it."""
+    check_age(asset, age)
+    g, e = _discount(asset, rate)
+    return Valuation(_value_at(asset.cost, asset.lifetime, g, e, age))
+
+
+def composed_delayed_present_cost(asset, rate, age):
+    check_age(asset, age)
+    return Valuation(_chain_cost(asset, rate, asset.lifetime - age, "delayed cost"))
+
+
+@st.composite
+def point_inputs(draw):
+    """schedule_inputs with an age: a fraction of the lifetime, a whole age, 0,
+    -0.0, the lifetime itself, or a faulty one (NaN, +-inf, negative, above
+    the lifetime)."""
+    asset, rate = draw(schedule_inputs())
+    life = asset.lifetime
+    age = draw(st.floats(0.0, 1.0).map(lambda f: min(f * life, life))
+               | st.integers(0, int(life))
+               | st.sampled_from([0, 0.0, -0.0, life, float(life)])
+               | st.sampled_from([math.nan, math.inf, -math.inf, -5e-324, -1.0,
+                                  math.nextafter(life, math.inf), 2.0 * life])
+               | st.floats(-2.0 * life, 2.0 * life))
+    return asset, rate, age
+
+
+def outcome(point, *args):
+    """float.hex of the amount, or the fault's class, field and message."""
+    try:
+        v = point(*args)
+    except InvalidInput as exc:
+        return type(exc), exc.field, str(exc)
+    assert type(v) is Valuation and v == (v.amount,)
+    return float.hex(v.amount)
+
+
+@SETTINGS
+@given(point_inputs())
+@example((AssetSpec(100, 10), DiscountRate(0.2), 5))
+@example((AssetSpec(100.0, 10), DiscountRate(0.2), 1))  # cost * (x / E) != (cost * x) / E here
+@example((AssetSpec(100.0, 40), DiscountRate(0.05), 2.0))
+@example((AssetSpec(100, 10), DiscountRate(0.0), -0.0))
+@example((AssetSpec(1, 2000.0), DiscountRate(2.0**-53 / 2000 / 2), 2000.0))
+@example((AssetSpec(1.7e308, 3), DiscountRate(0.2), math.nan))
+@example((AssetSpec(3, 7.0), DiscountRate(0.5), 7.000000000000001))
+def test_point_valuations_equal_their_composed_forms(inputs):
+    """intrinsic_value in one frame equals the composition it replaced, by
+    float.hex or by fault; every point function returns a Valuation."""
+    asset, rate, age = inputs
+    assert outcome(intrinsic_value, asset, rate, age) == outcome(
+        composed_intrinsic_value, asset, rate, age)
+    assert outcome(delayed_present_cost, asset, rate, age) == outcome(
+        composed_delayed_present_cost, asset, rate, age)
+    assert outcome(present_cost, asset, rate) == outcome(
+        lambda a, r: Valuation(_chain_cost(a, r, 0.0, "present cost")), asset, rate)
 
 
 @SETTINGS
@@ -268,18 +347,21 @@ def test_present_cost_finite_or_rejected(cost, lifetime, rate):
 
 
 # The shapes that payloads hold: str, int and finite float scalars, lists of
-# scalars, str-keyed dicts, and iterators of dicts, nested to any depth. An
-# iterator is drawn as a tuple, which json.dumps writes as a list.
-json_scalars = (
+# ints and floats, str-keyed dicts, and iterators of dicts, nested to any
+# depth. An iterator is drawn as a tuple, which json.dumps writes as a list.
+json_numbers = (
     st.integers()
     | st.integers(-(10**60), 10**60)
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.sampled_from([-0.0, 5e-324, 1e-7, 1e16, 1e22, sys.float_info.max])
+)
+json_scalars = (
+    json_numbers
     | st.text(max_size=8)
     | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600 a'), max_size=8)
 )
 json_values = st.recursive(
-    json_scalars | st.lists(json_scalars, max_size=4),
+    json_scalars | st.lists(json_numbers, max_size=4),
     lambda inner: (st.dictionaries(st.text(max_size=4), inner, max_size=4)
                    | st.lists(st.dictionaries(st.text(max_size=4), inner, max_size=3),
                               max_size=3).map(tuple)),
