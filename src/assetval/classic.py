@@ -5,10 +5,14 @@ model is compared against. Double-declining balance is the plain variant
 with no switch to straight-line and no final-period write-off, so it
 leaves a residual of cost * (1 - 2/l)^l at end of life when l > 2. Its
 factor 2/l is capped at 1, so at l = 1 it writes the asset off to 0.
+
+A schedule calls a book function once per row, and a call per check costs
+more than the formula, so one chained test guards each and only a fault calls a check.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 from .core import AssetSpec, check_age
@@ -30,9 +34,17 @@ def _as_period(value: float, name: str) -> int:
     return int(value)
 
 
+def _period_fault(asset: AssetSpec, age: float) -> None:
+    """Raise a whole-period method's fault: a fractional lifetime, else a fractional
+    finite age, else an age outside [0, lifetime] (NaN and +-inf included)."""
+    _as_period(asset.lifetime, "lifetime")
+    check_age(asset, _as_period(age, "age") if math.isfinite(age) else age)
+
+
 def straight_line_book_value(asset: AssetSpec, age: float) -> float:
     """cost * (1 - age/lifetime); defined for fractional ages too."""
-    check_age(asset, age)
+    if not 0 <= age <= asset.lifetime:  # NaN and +-inf fail here too
+        check_age(asset, age)
     return asset.cost * (1.0 - age / asset.lifetime)
 
 
@@ -42,10 +54,10 @@ def double_declining_book_value(asset: AssetSpec, age: float) -> float:
     The factor 2/lifetime is capped at 1, so a one-period asset is written
     off to 0 rather than below it.
     """
-    life = _as_period(asset.lifetime, "lifetime")
-    a = _as_period(age, "age")
-    check_age(asset, a)
-    return asset.cost * (1.0 - min(2.0 / life, 1.0)) ** a
+    life = asset.lifetime
+    if not (0 <= age <= life and age % 1 == 0 == life % 1):
+        _period_fault(asset, age)
+    return asset.cost * (1.0 - min(2.0 / life, 1.0)) ** age  # bit for bit as at int(life), int(age)
 
 
 def sum_of_years_book_value(asset: AssetSpec, age: float) -> float:
@@ -53,9 +65,10 @@ def sum_of_years_book_value(asset: AssetSpec, age: float) -> float:
 
     Year j expenses cost * (l - j + 1) / S with S = l(l+1)/2.
     """
-    life = _as_period(asset.lifetime, "lifetime")
-    a = _as_period(age, "age")
-    check_age(asset, a)
+    life = asset.lifetime
+    if not (0 <= age <= life and age % 1 == 0 == life % 1):
+        _period_fault(asset, age)
+    life, a = int(life), int(age)
     digits = life * (life + 1) // 2
     used = a * life - a * (a - 1) // 2
     return asset.cost * ((digits - used) / digits)  # cost * (digits - used) can overflow

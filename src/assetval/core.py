@@ -31,6 +31,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
+from math import exp, expm1, log1p
 from typing import NamedTuple
 
 from .errors import (
@@ -181,17 +182,17 @@ def intrinsic_depreciation(
     rate 0. Computed as the drop itself, not as a difference of two values near
     cost, so short spans keep their relative precision.
     """
-    if not 0 <= age_start <= age_end <= asset.lifetime:  # NaN and +-inf fail here too
+    life = asset.lifetime
+    if not 0 <= age_start <= age_end <= life:  # NaN and +-inf fail here too
         check_age(asset, age_start, name="age_start")
         check_age(asset, age_end, name="age_end")
         raise AgeOrderViolation(f"age_end ({age_end}) precedes age_start ({age_start})")
-    g = math.log1p(rate.rate)  # g and E as intrinsic_value computes them
-    lg = asset.lifetime * g
+    g = log1p(rate.rate)  # g and E as intrinsic_value computes them
+    lg = life * g
     span = age_end - age_start
     if lg >= _STRAIGHT_LINE_BELOW:
-        return (-asset.cost * math.exp(-(asset.lifetime - age_end) * g) * math.expm1(-span * g)
-                / math.expm1(-lg))
-    return -asset.cost * (span / asset.lifetime)  # cost * span can overflow
+        return -asset.cost * exp(-(life - age_end) * g) * expm1(-span * g) / expm1(-lg)
+    return -asset.cost * (span / life)  # cost * span can overflow
 
 
 def perpetuity_oracle(asset: AssetSpec, rate: DiscountRate, terms: int) -> float:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
+from itertools import chain, repeat, starmap
 from operator import sub
 from typing import NamedTuple
 
@@ -20,14 +19,11 @@ from .errors import InvalidInput, MissingRate
 
 
 class ScheduleRow(NamedTuple):
-    """One period of a schedule (rows[i] is period i + 1); a NamedTuple,
-    as a schedule builds one per period."""
+    """One period of a schedule (rows[i] is period i + 1); a NamedTuple, which
+    build_schedule makes through tuple.__new__, with no Python frame per row."""
 
     expense: float  # <= 0
     book_value: float  # >= 0
-
-
-_ROW = partial(tuple.__new__, ScheduleRow)  # (expense, book) -> row with no Python frame, as _make
 
 
 @dataclass(frozen=True)
@@ -76,19 +72,20 @@ def build_schedule(
     ones from one intrinsic_depreciation(n - 1, n) call per period n and the
     value curve's books, classical ones from one book call per period and each
     book's drop. The benchmark's tracer counts those calls, so their functions
-    are looked up at call time. At most MAX_PERIODS periods.
+    are looked up at call time. starmap makes each row with tuple.__new__
+    (ScheduleRow, (expense, book)), as _make does. At most MAX_PERIODS periods.
     """
     life = _periods(asset)
     periods = range(1, life + 1)
     if method is not Method.INTRINSIC:
-        books = list(map(partial(_CLASSIC_BOOK[method], asset), periods))
+        books = list(map(_CLASSIC_BOOK[method], repeat(asset), periods))
         expenses = map(sub, books, chain((asset.cost,), books))
     elif rate is None:
         raise MissingRate("intrinsic schedules require a discount rate", field="rate")
     else:
         books = _value_curve(asset, rate, periods)
-        expenses = map(partial(intrinsic_depreciation, asset, rate), range(life), periods)
-    return Schedule(tuple(map(_ROW, zip(expenses, books))))
+        expenses = map(intrinsic_depreciation, repeat(asset), repeat(rate), range(life), periods)
+    return Schedule(tuple(starmap(tuple.__new__, zip(repeat(ScheduleRow), zip(expenses, books)))))
 
 
 def compare_methods(

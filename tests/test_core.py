@@ -6,7 +6,6 @@ forms were trusted.
 """
 
 import math
-import sys
 from decimal import Decimal, localcontext
 from functools import partial
 from itertools import product
@@ -159,34 +158,16 @@ class TestIntrinsicValue:
             assert isinstance(point, Valuation)
             assert tuple(point) == (point.amount,)
 
-    @staticmethod
-    def entered(*args):
-        """The code of each Python function that intrinsic_value(*args) enters."""
-        codes = []
-
-        def profile(frame, event, arg):
-            if event == "call":
-                codes.append(frame.f_code)
-
-        sys.setprofile(profile)
-        try:
-            intrinsic_value(*args)
-        except AgeOutOfRange:
-            pass
-        finally:
-            sys.setprofile(None)
-        return codes
-
     @pytest.mark.parametrize("rate", [R20, DiscountRate(0)])
     @pytest.mark.parametrize("age", [0, -0.0, 2.5, 10])
-    def test_valid_age_runs_in_one_frame(self, rate, age):
+    def test_valid_age_runs_in_one_frame(self, entered, rate, age):
         # Each helper call (the age check, g and E, V, the NamedTuple's
         # __new__) costs more than the formula; none may come back.
-        assert self.entered(REF_ASSET, rate, age) == [intrinsic_value.__code__]
+        assert entered(intrinsic_value, REF_ASSET, rate, age) == [intrinsic_value.__code__]
 
     @pytest.mark.parametrize("age", [math.nan, math.inf, -math.inf, -1e-300, 11])
-    def test_bad_age_enters_the_age_check(self, age):
-        codes = self.entered(REF_ASSET, R20, age)
+    def test_bad_age_enters_the_age_check(self, entered, age):
+        codes = entered(intrinsic_value, REF_ASSET, R20, age)
         assert codes[:2] == [intrinsic_value.__code__, check_age.__code__]
 
 
@@ -248,6 +229,18 @@ class TestIntrinsicDepreciation:
         assert faults.count(None) == 16  # the ordered pairs of valid ages
         depreciation = partial(intrinsic_depreciation, REF_ASSET, R20)
         assert [fault(depreciation, *ages) for ages in pairs] == faults
+
+    @pytest.mark.parametrize("rate", [R20, DiscountRate(0)])
+    @pytest.mark.parametrize("ages", [(0, 1), (-0.0, 0), (3, 3), (2.5, 10.0), (9, 10)])
+    def test_valid_ages_run_in_one_frame(self, entered, rate, ages):
+        # one call per intrinsic schedule row: no helper call may come back
+        codes = entered(intrinsic_depreciation, REF_ASSET, rate, *ages)
+        assert codes == [intrinsic_depreciation.__code__]
+
+    @pytest.mark.parametrize("ages", [(math.nan, 1), (0, math.inf), (-1, 1), (0, 11), (5, 4)])
+    def test_bad_ages_enter_the_age_check(self, entered, ages):
+        codes = entered(intrinsic_depreciation, REF_ASSET, R20, *ages)
+        assert codes[:2] == [intrinsic_depreciation.__code__, check_age.__code__]
 
     def test_zero_rate_is_straight_line_expense(self):
         dv = intrinsic_depreciation(REF_ASSET, DiscountRate(0), 2, 4)

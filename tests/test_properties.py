@@ -1,15 +1,15 @@
 """Properties checked with Hypothesis: the closed forms and schedules over
-wide input ranges, point valuations bit for bit (or fault for fault)
-against the helper calls they were composed of, schedule rows bit for bit
-against a per-period loop, the value curve, rate_sweep and chord_gap bit
-for bit against the point path,
-the CLI's JSON writer (schedule rows and money lists included) against the
-json module over the shapes that payloads hold, table and CSV rows from
+wide input ranges, point valuations and classical book values bit for bit
+(or fault for fault) against the helper calls they were composed of,
+schedule rows bit for bit against a per-period loop, the value curve,
+rate_sweep and chord_gap bit for bit against the point path, the CLI's
+JSON writer (schedule rows and money lists included) against the json
+module over the shapes that payloads hold, table and CSV rows from
 templates against per-cell rendering, money rounded once for CSV as for
-JSON, batch CSV rows against the csv module, bad command-line and registry tokens
-against exit code 1 and against NaN or Infinity in JSON, CSV cells against
-the JSON payload (batch included), and sweep's chord gaps and surplus
-against chord_gap and trade_surplus.
+JSON, batch CSV rows against the csv module, bad command-line and registry
+tokens against exit code 1 and against NaN or Infinity in JSON, CSV cells
+against the JSON payload (batch included), and sweep's chord gaps and
+surplus against chord_gap and trade_surplus.
 
 Ranges: cost in [1e-6, 1e12], lifetime in [1e-3, 1e6], rate in [0, 1e3],
 rate 0 and subnormal rates included. Each range is drawn both uniformly
@@ -33,6 +33,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from assetval import (
+    AgeOutOfRange,
     AssetSpec,
     DiscountRate,
     InvalidInput,
@@ -63,6 +64,7 @@ from assetval.cli import (
     fmt_money,
     main,
 )
+from assetval.classic import _as_period
 from assetval.core import _STRAIGHT_LINE_BELOW, _chain_cost, _value_curve, check_age
 
 CLASSIC_BOOK = {
@@ -331,6 +333,87 @@ def test_point_valuations_equal_their_composed_forms(inputs):
         composed_delayed_present_cost, asset, rate, age)
     assert outcome(present_cost, asset, rate) == outcome(
         lambda a, r: Valuation(_chain_cost(a, r, 0.0, "present cost")), asset, rate)
+
+
+def composed_straight_line(asset, age):
+    check_age(asset, age)
+    return asset.cost * (1.0 - age / asset.lifetime)
+
+
+def composed_double_declining(asset, age):
+    life = _as_period(asset.lifetime, "lifetime")
+    a = _as_period(age, "age")
+    check_age(asset, a)
+    return asset.cost * (1.0 - min(2.0 / life, 1.0)) ** a
+
+
+def composed_sum_of_years(asset, age):
+    life = _as_period(asset.lifetime, "lifetime")
+    a = _as_period(age, "age")
+    check_age(asset, a)
+    digits = life * (life + 1) // 2
+    used = a * life - a * (a - 1) // 2
+    return asset.cost * ((digits - used) / digits)
+
+
+# The classical book functions as they were once composed, of a lifetime
+# check, an age check and a range check (one call each); the one-frame
+# functions must equal them.
+COMPOSED_BOOK = {
+    Method.STRAIGHT_LINE: composed_straight_line,
+    Method.DOUBLE_DECLINING: composed_double_declining,
+    Method.SUM_OF_YEARS: composed_sum_of_years,
+}
+
+
+@st.composite
+def book_inputs(draw):
+    """A classical method, an asset and an age. Lifetimes: whole (int or
+    float), fractional, and 1 and 2, where DDB's factor 2/l meets its cap.
+    Ages: int and float, whole and fractional, -0.0, below 0, 0, the
+    lifetime, above it, NaN and +-inf."""
+    life = draw(st.integers(1, 10**6) | st.integers(1, 12).map(float)
+                | st.sampled_from([1, 2, 1.0, 2.0]) | lifetimes)
+    whole = st.integers(-3, int(life) + 3)
+    age = draw(whole | whole.map(float) | st.floats(-2.0 * life, 2.0 * life)
+               | st.sampled_from([0, 0.0, -0.0, life, float(life), -1, -5e-324, 0.5,
+                                  math.nextafter(life, math.inf), life + 1, 2.0 * life,
+                                  math.nan, math.inf, -math.inf]))
+    asset = AssetSpec(draw(costs | st.sampled_from([100, 1.7e308])), life)
+    return draw(st.sampled_from(list(COMPOSED_BOOK))), asset, age
+
+
+def book_outcome(book, asset, age):
+    """float.hex of the book value, or the fault's class, field and message."""
+    try:
+        v = book(asset, age)
+    except (ValueError, OverflowError) as exc:  # InvalidInput is a ValueError
+        return type(exc), getattr(exc, "field", None), str(exc)
+    assert type(v) is float
+    return float.hex(v)
+
+
+@SETTINGS
+@given(book_inputs())
+@example((Method.DOUBLE_DECLINING, AssetSpec(100, 1), 1))
+@example((Method.DOUBLE_DECLINING, AssetSpec(100.0, 2.0), -0.0))
+@example((Method.DOUBLE_DECLINING, AssetSpec(100, 10), 5.0))
+@example((Method.SUM_OF_YEARS, AssetSpec(1.7e308, 3), 1.0))
+@example((Method.SUM_OF_YEARS, AssetSpec(100, 10), 11.0))
+@example((Method.SUM_OF_YEARS, AssetSpec(100, 7.5), math.nan))
+@example((Method.DOUBLE_DECLINING, AssetSpec(100, 10), -math.inf))
+@example((Method.STRAIGHT_LINE, AssetSpec(100, 10), math.nan))
+def test_book_values_equal_their_composed_forms(inputs):
+    """Each classical book function in one frame equals the composition it
+    replaced, by float.hex or by fault. The one difference: where int(age)
+    raised a bare ValueError (NaN) or OverflowError (+-inf) before the range
+    check, the one-frame function raises the range check's AgeOutOfRange."""
+    method, asset, age = inputs
+    want = book_outcome(COMPOSED_BOOK[method], asset, age)
+    if want[0] in (ValueError, OverflowError):
+        assert not math.isfinite(age)
+        want = AgeOutOfRange, "age", f"age must lie in [0, {asset.lifetime}], got {age!r}"
+    assert book_outcome(CLASSIC_BOOK[method], asset, age) == want
 
 
 @SETTINGS

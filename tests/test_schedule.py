@@ -101,6 +101,7 @@ class TestBuildSchedule:
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_rows_are_immutable_named_tuples(self, method):
         sched = build_schedule(ASSET, method, R20)
+        assert all(type(row) is ScheduleRow for row in sched.rows)
         row = sched.rows[0]
         expense, book = row
         assert (expense, book) == (row.expense, row.book_value)
