@@ -113,8 +113,8 @@ def _write_json(write, obj, pad: str = "\n") -> None:
     """Pass json.dumps(obj, indent=2) to write, at the indent of pad ("\n"
     and spaces): dicts key by key and iterators item by item, so an iterator
     under dicts is consumed as it is written; a list (ages, periods, rates:
-    ints and floats only) in one piece from its items' reprs; a callable
-    returns its own text given pad."""
+    ints and floats only) in one piece from its items' reprs; a callable (a
+    batch entry, a schedule, a money list) returns its own text given pad."""
     inner = pad + "  "
     if isinstance(obj, dict):
         opener, closer, items = "{", "}", ((f"{_json_str(k)}: ", v) for k, v in obj.items())
@@ -203,29 +203,55 @@ def _render(out, args, command: str, header: list[str], lines: str, cells: Itera
 _SURPLUS_ZEROS = r"0(?:00(?<=\.\d000)|0(?<=\.\d[1-9]00)|(?<=\.\d\d[1-9]0))(?=[,\n])"
 
 
+def _json_money(template: str, cells: tuple, exact: bool) -> str:
+    """template % cells, each "%.4f" cell as repr(_money(x)) writes it. exact says that no
+    money cell reaches 1e11: below it, "%.4f" % x has at most 15 significant digits, so it
+    is the decimal nearest round(x, 4), which repr prints with its trailing zeros cut."""
+    if not exact:  # %r of each cell; "%d" prints a rounded period as itself
+        return template.replace("%.4f", "%r") % tuple(map(_money, cells))
+    return re.sub(_SURPLUS_ZEROS, "", (template % cells).replace(" -0.0000", " 0.0000"))
+
+
+@functools.cache  # on the few rows and pads that payloads hold, never on a row count
+def _item(row: str, pad: str) -> str:
+    """row, json.dumps's text of an item (or of a dict's keys), led by "," and
+    indented as the items of a list (or keys of a dict) that _write_json writes at pad."""
+    inner = pad + "  "
+    return "," + inner + row.replace("\n", inner)
+
+
 def _json_rows(row: str, cells: tuple) -> Callable[[str], str]:
     """A list, never empty, as _write_json writes it at pad: each item is row
-    % its share of cells, where row is json.dumps's text of one item at the
-    top level with "%.4f" for each money cell. Money, all finite, is written
-    as _money rounds it."""
+    % its share of cells, with "%.4f" for each money cell. Money, all finite,
+    is written as _money rounds it."""
     def text(pad: str) -> str:
-        inner = pad + "  "
-        items = [row.replace("\n", inner)] * (len(cells) // row.count("%"))
-        template = "[" + inner + ("," + inner).join(items) + pad + "]"
-        if max(map(abs, cells)) >= 1e11:  # %r of each cell; "%d" prints a rounded period as itself
-            return template.replace("%.4f", "%r") % tuple(map(_money, cells))
-        # Below 1e11, "%.4f" % x has at most 15 significant digits, so it is the
-        # decimal that round(x, 4) is nearest to and repr prints it with its
-        # trailing zeros cut: the two paths write the same bytes.
-        return re.sub(_SURPLUS_ZEROS, "", (template % cells).replace(" -0.0000", " 0.0000"))
+        item = _item(row, pad)
+        template = "[" + item[1:] + item * (len(cells) // row.count("%") - 1) + pad + "]"
+        return _json_money(template, cells, max(map(abs, cells)) < 1e11)
     return text
 
 
+_ROW = '{\n  "period": %d,\n  "expense": %.4f,\n  "book_value": %.4f\n}'  # a schedule row
+
+
+def _row_cells(rows: Sequence[tuple[float, float]]) -> Iterator:  # period (from 1), expense, book_value
+    return chain.from_iterable(zip(range(1, len(rows) + 1), *zip(*rows)))
+
+
 def _schedule_json(rows: Sequence[tuple[float, float]]) -> Callable[[str], str]:
-    """A schedule's rows, never empty and all finite, as _json_rows writes their
-    objects of period (from 1), expense and book_value."""
-    cells = tuple(chain.from_iterable(zip(range(1, len(rows) + 1), *zip(*rows))))
-    return _json_rows('{\n  "period": %d,\n  "expense": %.4f,\n  "book_value": %.4f\n}', cells)
+    """A schedule's rows, never empty and all finite, as _json_rows writes them."""
+    return _json_rows(_ROW, tuple(_row_cells(rows)))
+
+
+def _batch_json(rec_id: str, cost: float, age: float, value: float, rows: Sequence, pad: str) -> str:
+    """A batch entry as _write_json writes its dict of id, age, value (as _money
+    rounds it) and schedule (as _schedule_json writes it) at pad. No cell
+    exceeds cost by more than a few ulps, so below 5e10 none reaches 1e11."""
+    inner, item = pad + "  ", _item(_ROW, pad + "  ")
+    template = _item('"value": %.4f,\n"schedule": [', pad) + item[1:] + item * (len(rows) - 1)
+    money = _json_money(template + inner + "]" + pad + "}", (value, *_row_cells(rows)), cost < 5e10)
+    # the id and age go in after the cut, which would take zeros from an id such as "1.5000,"
+    return "{" + inner + '"id": ' + _json_str(rec_id) + "," + inner + '"age": ' + repr(age) + money
 
 
 # writerow returns what its file's write returns, here the row's text; with a
@@ -278,8 +304,7 @@ def cmd_schedule(args, out) -> int:
     rate = None if args.rate is None else parse_rate(args.rate, "--rate")
     rows = build_schedule(asset, method, rate).rows
     _render(out, args, "schedule", ["period", "expense", "book_value"],
-            "%d,%.4f,%.4f\n" * len(rows),
-            chain.from_iterable(zip(range(1, len(rows) + 1), *zip(*rows))),
+            "%d,%.4f,%.4f\n" * len(rows), _row_cells(rows),
             lambda: {"method": method.value,
                      "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
                      "rows": _schedule_json(rows),
@@ -375,8 +400,8 @@ def _required(record: dict, name: str) -> str:
     return str(token)
 
 
-def _batch_record(record: dict) -> tuple[float, float, tuple[tuple[float, float], ...]]:
-    """Validate one registry record; its age, value and schedule rows."""
+def _batch_record(record: dict) -> tuple[float, float, float, tuple[tuple[float, float], ...]]:
+    """Validate one registry record; its cost, age, value and schedule rows."""
     extra = record.get(None)  # DictReader's key for the cells of a long CSV row
     if extra is not None:
         raise CliError(f"row has {len(extra)} cell(s) beyond the header: "
@@ -388,10 +413,12 @@ def _batch_record(record: dict) -> tuple[float, float, tuple[tuple[float, float]
     age_token = record.get("age")
     age = 0.0 if age_token in (None, "") else _parse_number(str(age_token), "age")
     value = intrinsic_value(asset, rate, age).amount
-    return age, value, build_schedule(asset, Method.INTRINSIC, rate).rows
+    return cost, age, value, build_schedule(asset, Method.INTRINSIC, rate).rows
 
 
 def cmd_batch(args, out) -> int:
+    """Each registry record's value and schedule, or its error. JSON writes each
+    entry as its record is computed, as one string (_batch_json) after its separator."""
     fd = created = records = None
     if args.output:
         # opened before any record is read, so that an unwritable output fails
@@ -450,7 +477,7 @@ def cmd_batch(args, out) -> int:
         if args.format == "csv":
             sink.write("id,value,period,expense,book_value\n")
             try:
-                for rec_id, _, value, rows in entries:
+                for rec_id, _, _, value, rows in entries:
                     sink.write(_schedule_csv(rec_id, value, rows))
             except UnicodeEncodeError as exc:  # an id that the sink's encoding cannot hold
                 where = "--output" if fd is not None else "stdout"
@@ -458,11 +485,9 @@ def cmd_batch(args, out) -> int:
                 raise CliError(f"{where}: cannot write {exc.object[exc.start:exc.end]!r} "
                                f"in its encoding, {exc.encoding}{hint}") from None
         else:  # a batch report has no table layout: table writes JSON
-            json_entries = ({"id": rec_id, "age": age, "value": _money(value),
-                             "schedule": _schedule_json(rows)} for rec_id, age, value, rows in entries)
+            entries = (functools.partial(_batch_json, *entry) for entry in entries)
             # errors holds dicts, which _write_json takes only as an iterator
-            _emit_json(sink, "batch", {"entries": json_entries, "errors": iter(errors)},
-                       args.deterministic)
+            _emit_json(sink, "batch", {"entries": entries, "errors": iter(errors)}, args.deterministic)
     if args.format == "csv":
         for err in errors:  # one line each, whatever the id holds
             rec_id = err["id"].replace("\r", "\\r").replace("\n", "\\n")

@@ -641,6 +641,11 @@ class TestBatch:
         code = main(["batch", "--input", path, "--format", "json", "--deterministic"],
                     out=Recorder())
         assert code == 3
+        # each entry reaches write as two strings, its separator and its text,
+        # before the next record is read
+        for rec_id, following in (("a", "b"), ("b", "c")):
+            between = log[log.index(("record", rec_id)) + 1:log.index(("record", following))]
+            assert len(between) == 2 and json.loads(between[1])["id"] == rec_id
         third = log.index(("record", "c"))
         before = "".join(t for t in log[:third] if isinstance(t, str))
         report = "".join(t for t in log if isinstance(t, str))
@@ -652,6 +657,19 @@ class TestBatch:
         assert list(payload) == ["entries", "errors"]
         assert [e["id"] for e in payload["entries"]] == ["a", "b"]
         assert [e["id"] for e in payload["errors"]] == ["c"]
+
+    @pytest.mark.parametrize("cost", [2e11, 703275009772.664])
+    def test_json_money_at_a_large_cost_is_repr_of_round(self, tmp_path, cost):
+        """From a cost of 5e10, an entry's money is written as repr(round(x, 4)):
+        at 703275009772.664, "%.4f" would print 703275009772.6639."""
+        path = tmp_path / "assets.json"
+        path.write_text(json.dumps([{"id": "a", "cost": cost, "lifetime": 1, "rate": 0.1}]))
+        code, out = run("batch", "--input", str(path), "--format", "json", "--deterministic")
+        assert code == 0
+        (expense, book), = schedule.build_schedule(
+            core.AssetSpec(cost, 1), cli.Method.INTRINSIC, core.DiscountRate(0.1)).rows
+        for key, x, end in (("value", cost, ","), ("expense", expense, ","), ("book_value", book, "\n")):
+            assert f'"{key}": {round(x, 4)!r}{end}' in out
 
     @staticmethod
     def run_in_c_locale(tmp_path, *argv):

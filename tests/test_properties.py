@@ -51,10 +51,12 @@ from assetval import (
     straight_line_book_value,
     sum_of_years_book_value,
     trade_surplus,
+    __version__,
 )
 from assetval.cli import (
     COMMANDS,
     METHOD_TOKENS,
+    _batch_record,
     _json_rows,
     _money,
     _render,
@@ -807,3 +809,91 @@ def test_batch_csv_cells_match_json_payload(records):
     assert [len(row) for row in cells] == [len(row) for row in values]
     assert all(same_cell(c, v) for row, want in zip(cells, values) for c, v in zip(row, want))
     assert stderr.getvalue().count("\n") == len(payload["errors"])
+
+
+@SETTINGS
+@given(schedule_inputs(), st.lists(fractions, max_size=5))
+@example((AssetSpec(100, 10), DiscountRate(0.2)), [0.5])
+@example((AssetSpec(1.7e308, 1), DiscountRate(0.0)), [0.0, 0.3])
+@example((AssetSpec(2e11, 1), DiscountRate(0.1)), [0.25])  # its expense is cost plus an ulp
+@example((AssetSpec(1, 2000.0), DiscountRate(2.0**-53 / 2000 / 2)), [1.0])
+def test_intrinsic_money_within_cost(inputs, fractions):
+    """Every intrinsic value, expense and book value lies within cost * (1 +
+    2^-40) in magnitude, on the closed form and on the straight line. The
+    batch JSON writer relies on it: below a cost of 5e10, no money cell of a
+    record reaches 1e11."""
+    asset, rate = inputs
+    life = asset.lifetime
+    values = [intrinsic_value(asset, rate, min(f * life, life)).amount for f in fractions]
+    cells = [*values, *(x for row in build_schedule(asset, Method.INTRINSIC, rate).rows for x in row)]
+    assert all(abs(x) <= asset.cost * (1 + 2**-40) for x in cells)
+
+
+def batch_reference(records):
+    """batch's JSON payload in the dict form it was once written from: each
+    entry's id, age, value and schedule rows, money as _money rounds it."""
+    entries, errors, seen = [], [], set()
+    for idx, record in enumerate(records, 1):
+        rec_id = "" if record.get("id") is None else str(record["id"]).strip()
+        if not rec_id:
+            errors.append({"id": f"<row {idx}>", "reason": "missing or empty id"})
+            continue
+        if rec_id in seen:
+            errors.append({"id": rec_id, "reason": "duplicate id"})
+            continue
+        seen.add(rec_id)
+        try:
+            _, age, value, rows = _batch_record({**record, "id": rec_id})
+        except InvalidInput as exc:
+            errors.append({"id": rec_id, "reason": str(exc)})
+            continue
+        entries.append({"id": rec_id, "age": age, "value": _money(value), "schedule": [
+            {"period": n, "expense": _money(e), "book_value": _money(b)}
+            for n, (e, b) in enumerate(rows, 1)]})
+    return {"entries": entries, "errors": errors}
+
+
+# Ids that JSON must escape or that look like money text, which the zero cut
+# must not reach.
+batch_ids = st.text(max_size=6) | st.lists(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", " ", "é", "\U0001f600", "1.5000,x",
+                     "0.0000\n", " -0.0000,", "%r%d", "a"]), max_size=4).map("".join)
+# Costs on both sides of 5e10, the writer's guard, and of 1e11, and up to 1e15.
+batch_costs = spread(1e-6, 1e15) | st.floats(4e10, 1.2e11) | st.sampled_from(
+    [5e10, math.nextafter(5e10, 0), 1e11, math.nextafter(1e11, 0), 99999999999.99995,
+     703275009772.664, 1e15])
+
+
+@st.composite
+def batch_records(draw):
+    """A registry record: lifetime 1, 2 or longer, age absent, whole or
+    fractional, rate 0, a fraction or a percentage; or one field made bad."""
+    life = draw(st.sampled_from([1, 2]) | st.integers(1, 40))
+    record = {"id": draw(batch_ids), "cost": draw(batch_costs), "lifetime": life,
+              "rate": draw(st.just(0) | rates | st.floats(0.0, 30.0).map(lambda x: f"{x!r}%"))}
+    age = draw(st.none() | st.integers(0, life) | fractions.map(lambda f: f * life))
+    if age is not None:
+        record["age"] = age
+    bad = draw(st.sampled_from([None] * 6 + [("cost", -1.0), ("rate", "x"), ("lifetime", 2.5),
+                                             ("age", life + 1), ("id", " ")]))
+    if bad:
+        record[bad[0]] = bad[1]
+    return record
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(batch_records(), max_size=6))
+@example([{"id": "1.5000,x", "cost": 703275009772.664, "lifetime": 1, "rate": 0.1},
+          {"id": "0.0000\n", "cost": 5e10, "lifetime": 2, "rate": "20%", "age": 0.5},
+          {"id": "0.0000\n", "cost": 1.0, "lifetime": 1, "rate": 0}])
+def test_batch_json_report_is_json_dumps_of_its_dict_form(records):
+    """batch --format json --deterministic writes json.dumps(indent=2) of the
+    report's dict form, and exits 3 if it holds any error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "registry.json")
+        path.write_text(json.dumps(records))
+        code, text = invoke(["batch", "--input", str(path), "--format", "json", "--deterministic"])
+    payload = batch_reference(records)
+    assert code == (3 if payload["errors"] else 0)
+    envelope = {"tool_version": __version__, "command": "batch", "payload": payload}
+    assert text == json.dumps(envelope, indent=2) + "\n"
