@@ -42,10 +42,14 @@ def _period_fault(asset: AssetSpec, age: float) -> None:
 
 
 def straight_line_book_value(asset: AssetSpec, age: float) -> float:
-    """cost * (1 - age/lifetime); defined for fractional ages too."""
-    if not 0 <= age <= asset.lifetime:  # NaN and +-inf fail here too
+    """cost * ((lifetime - age)/lifetime); defined for fractional ages too.
+
+    The remaining fraction, not 1 - age/lifetime, which cancels near the end of life.
+    """
+    life = asset.lifetime
+    if not 0 <= age <= life:  # NaN and +-inf fail here too
         check_age(asset, age)
-    return asset.cost * (1.0 - age / asset.lifetime)
+    return asset.cost * ((life - age) / life)
 
 
 def double_declining_book_value(asset: AssetSpec, age: float) -> float:

@@ -53,13 +53,8 @@ class CliError(InvalidInput):
     """Validation failure whose message names the offending flag. Exit 2."""
 
 
-def fmt_money(x: float) -> str:
-    s = f"{x:.4f}"
-    return "0.0000" if s == "-0.0000" else s
-
-
 def _money(x: float) -> float:
-    """x rounded for JSON as fmt_money rounds it, zero without a sign."""
+    """x rounded for JSON as "%.4f" rounds it, zero without a sign."""
     return round(x, 4) + 0.0
 
 
@@ -102,19 +97,13 @@ def _split(text: str) -> list[str]:
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json_scalar(obj) -> str:
-    """A float, str or int as json.dumps writes it; payloads hold no other scalar."""
-    if isinstance(obj, float):
-        return float.__repr__(obj)
-    return _json_str(obj) if isinstance(obj, str) else int.__repr__(obj)
-
-
 def _write_json(write, obj, pad: str = "\n") -> None:
     """Pass json.dumps(obj, indent=2) to write, at the indent of pad ("\n"
     and spaces): dicts key by key and iterators item by item, so an iterator
     under dicts is consumed as it is written; a list (ages, periods, rates:
     ints and floats only) in one piece from its items' reprs; a callable (a
-    batch entry, a schedule, a money list) returns its own text given pad."""
+    batch entry, a schedule, a money list) returns its own text given pad;
+    a str, float or int (payloads hold no other scalar) as json.dumps writes it."""
     inner = pad + "  "
     if isinstance(obj, dict):
         opener, closer, items = "{", "}", ((f"{_json_str(k)}: ", v) for k, v in obj.items())
@@ -123,8 +112,8 @@ def _write_json(write, obj, pad: str = "\n") -> None:
     elif isinstance(obj, list):
         write("[" + inner + f",{inner}".join(map(repr, obj)) + pad + "]" if obj else "[]")
         return
-    else:  # a callable is text that writes itself, such as _schedule_json's
-        write(obj(pad) if callable(obj) else _json_scalar(obj))
+    else:
+        write(obj(pad) if callable(obj) else _json_str(obj) if isinstance(obj, str) else repr(obj))
         return
     lead = opener + inner
     for key, value in items:
@@ -170,6 +159,12 @@ def _emit_table(out, header: list[str], body: str) -> None:
     _write_long(out.write, line * (len(cells) // k) % tuple(cells))
 
 
+def _fill(template: str, cells: Iterable) -> str:
+    """template % cells, money that rounds to zero without its sign: money cells are
+    "%.4f" and no other cell ("%d", text) holds "-0.0000", so each is a whole cell."""
+    return (template % tuple(cells)).replace("-0.0000", "0.0000")
+
+
 def _render(out, args, command: str, header: list[str], lines: str, cells: Iterable[float],
             payload: Callable[[], dict], *, labels: list[str] | None = None) -> None:
     """Write one command's result in the format --format names, building only what it writes.
@@ -183,9 +178,7 @@ def _render(out, args, command: str, header: list[str], lines: str, cells: Itera
     if args.format == "json":
         _emit_json(out, command, payload(), args.deterministic)
         return
-    # body holds only numbers and "chord_gap", and "%.4f" writes four decimals,
-    # so "-0.0000" is a whole cell
-    body = (lines % tuple(cells)).replace("-0.0000", "0.0000")
+    body = _fill(lines, cells)
     if args.format == "csv":
         _emit_csv(out, header, body)
     elif labels is None:
@@ -209,7 +202,7 @@ def _json_money(template: str, cells: tuple, exact: bool) -> str:
     is the decimal nearest round(x, 4), which repr prints with its trailing zeros cut."""
     if not exact:  # %r of each cell; "%d" prints a rounded period as itself
         return template.replace("%.4f", "%r") % tuple(map(_money, cells))
-    return re.sub(_SURPLUS_ZEROS, "", (template % cells).replace(" -0.0000", " 0.0000"))
+    return re.sub(_SURPLUS_ZEROS, "", _fill(template, cells))
 
 
 @functools.cache  # on the few rows and pads that payloads hold, never on a row count
@@ -232,20 +225,16 @@ def _json_rows(row: str, cells: tuple) -> Callable[[str], str]:
 
 
 _ROW = '{\n  "period": %d,\n  "expense": %.4f,\n  "book_value": %.4f\n}'  # a schedule row
+_CSV_ROW = "%d,%.4f,%.4f\n"  # a schedule row's CSV line
 
 
 def _row_cells(rows: Sequence[tuple[float, float]]) -> Iterator:  # period (from 1), expense, book_value
     return chain.from_iterable(zip(range(1, len(rows) + 1), *zip(*rows)))
 
 
-def _schedule_json(rows: Sequence[tuple[float, float]]) -> Callable[[str], str]:
-    """A schedule's rows, never empty and all finite, as _json_rows writes them."""
-    return _json_rows(_ROW, tuple(_row_cells(rows)))
-
-
 def _batch_json(rec_id: str, cost: float, age: float, value: float, rows: Sequence, pad: str) -> str:
     """A batch entry as _write_json writes its dict of id, age, value (as _money
-    rounds it) and schedule (as _schedule_json writes it) at pad. No cell
+    rounds it) and schedule (as _json_rows writes its _ROW items) at pad. No cell
     exceeds cost by more than a few ulps, so below 5e10 none reaches 1e11."""
     inner, item = pad + "  ", _item(_ROW, pad + "  ")
     template = _item('"value": %.4f,\n"schedule": [', pad) + item[1:] + item * (len(rows) - 1)
@@ -262,11 +251,11 @@ _csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writer
 def _schedule_csv(rec_id: str, value: float, rows: Sequence[tuple[float, float]]) -> str:
     """A batch record's CSV lines, each ending in "\\n": id and value as the csv
     module writes them, then period (from 1), expense and book_value, money as
-    fmt_money writes it. rows is a schedule's, never empty and all finite."""
-    body = "\n".join(["%d,%.4f,%.4f" % (n, e, b) for n, (e, b) in enumerate(rows, 1)])
-    prefix = _csv_line((rec_id, fmt_money(value), ""))[:-2]  # "id,value,"
-    # body holds only numbers, so ",-0.0000" is a whole cell; the id goes in after
-    return prefix + body.replace(",-0.0000", ",0.0000").replace("\n", "\n" + prefix) + "\n"
+    _fill writes it. rows is a schedule's, never empty and all finite."""
+    prefix = _csv_line((rec_id, _fill("%.4f", (value,)), ""))[:-2]  # "id,value,"
+    body = _fill(_CSV_ROW * len(rows), _row_cells(rows))
+    # the id goes in after the fill, which would change an id holding "-0.0000"
+    return prefix + body.replace("\n", "\n" + prefix, len(rows) - 1)
 
 
 # ---------------------------------------------------------------- commands
@@ -304,10 +293,10 @@ def cmd_schedule(args, out) -> int:
     rate = None if args.rate is None else parse_rate(args.rate, "--rate")
     rows = build_schedule(asset, method, rate).rows
     _render(out, args, "schedule", ["period", "expense", "book_value"],
-            "%d,%.4f,%.4f\n" * len(rows), _row_cells(rows),
+            _CSV_ROW * len(rows), _row_cells(rows),
             lambda: {"method": method.value,
                      "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
-                     "rows": _schedule_json(rows),
+                     "rows": _json_rows(_ROW, tuple(_row_cells(rows))),
                      # classical schedules do not use the rate
                      **({"rate": rate.rate} if method is Method.INTRINSIC else {})})
     return 0
@@ -336,7 +325,7 @@ def cmd_sweep(args, out) -> int:
     rates = [parse_rate(t, "--rates") for t in tokens]
     values = rate_sweep(asset, rates).values
     ages = range(len(values[0]))
-    chord = [asset.cost * (1.0 - a / asset.lifetime) for a in ages]
+    chord = [asset.cost * ((asset.lifetime - a) / asset.lifetime) for a in ages]
     gaps = [max(map(sub, curve, chord)) for curve in values]  # bit for bit as chord_gap
     row = ",%.4f" * len(gaps) + "\n"
     _render(out, args, "sweep", ["age"] + tokens, ("%d" + row) * len(ages) + "chord_gap" + row,
@@ -428,18 +417,18 @@ def cmd_batch(args, out) -> int:
                 fd, created = os.open(args.output, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
             except FileExistsError:
                 fd = os.open(args.output, os.O_WRONLY)
-        except OSError as exc:
-            raise CliError(f"--output: cannot write {args.output!r} ({exc.strerror or exc})") from None
-        except UnicodeEncodeError as exc:  # a name the file system's encoding cannot hold
-            raise CliError(f"--output: cannot write {args.output!r} ({exc})") from None
+        # UnicodeEncodeError: a name that the file system's encoding cannot hold
+        except (OSError, UnicodeEncodeError) as exc:
+            raise CliError(f"--output: cannot write {args.output!r} "
+                           f"({getattr(exc, 'strerror', None) or exc})") from None
     try:
         records = _load_registry(Path(args.input))
     except InvalidInput:  # a bad header, shape or extension, already named
         raise
-    except OSError as exc:
-        raise CliError(f"--input: cannot read {args.input!r} ({exc.strerror or exc})") from None
-    except UnicodeEncodeError as exc:  # a name the file system's encoding cannot hold
-        raise CliError(f"--input: cannot read {args.input!r} ({exc})") from None
+    # UnicodeEncodeError, an unencodable name, is a ValueError: caught ahead of that clause
+    except (OSError, UnicodeEncodeError) as exc:
+        raise CliError(f"--input: cannot read {args.input!r} "
+                       f"({getattr(exc, 'strerror', None) or exc})") from None
     except (ValueError, csv.Error, RecursionError) as exc:
         # not UTF-8, not JSON, a CSV cell over csv.field_size_limit(), or JSON nested too deep
         raise CliError(f"--input: cannot parse {args.input!r} ({exc})") from None
@@ -503,6 +492,15 @@ ASSET_FLAGS = {"--cost": REQUIRED, "--life": REQUIRED}
 _PERIOD_FLAGS = {**ASSET_FLAGS,
                  "--life": {**REQUIRED, "help": f"whole number of periods, at most {MAX_PERIODS}"}}
 
+# flag -> add_argument options, taken by every command ahead of its own flags.
+# Here and in COMMANDS each flag is a store flag (one value, no type) or a
+# store_true switch, the two kinds that _Parser._exact parses.
+COMMON = {
+    "--format": {"choices": ("table", "csv", "json"), "default": "table"},
+    "--deterministic": {"action": "store_true",
+                        "help": "omit the timestamp so identical runs are byte-identical"},
+}
+
 # name -> (help, {flag: add_argument options}); main runs cmd_<name>.
 COMMANDS = {
     "value": ("intrinsic value at an age", {
@@ -542,8 +540,9 @@ class _Parser(argparse.ArgumentParser):
     own path, so help, errors, their usage lines and exit codes stay its own.
     """
 
-    # name -> ({option string: action}, {dest: default}, [required dest]), set by _template
-    plans: dict[str, tuple[dict, dict, list]] = {}
+    # name -> {option string: the action add_argument made for it}, set by _template;
+    # -h is not in it, so an argv that names it takes argparse's path
+    plans: dict[str, dict[str, argparse.Action]]
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
@@ -554,11 +553,10 @@ class _Parser(argparse.ArgumentParser):
 
     def _exact(self, args: list[str]) -> dict | None:
         """The namespace of args as a dict, or None if args are not of the exact form."""
-        plan = self.plans.get(args[0])
-        if plan is None:
+        options = self.plans.get(args[0])
+        if options is None:
             return None
-        options, defaults, required = plan
-        values = {"command": args[0], **defaults}
+        values = {"command": args[0]}
         tokens = iter(args[1:])
         for token in tokens:
             action = options.get(token)
@@ -571,33 +569,17 @@ class _Parser(argparse.ArgumentParser):
             if value.startswith("-") or action.choices is not None and value not in action.choices:
                 return None
             values[action.dest] = value
-        return values if all(dest in values for dest in required) else None
-
-
-def _plan(parser: argparse.ArgumentParser) -> tuple[dict, dict, list]:
-    """A subparser's exact-path table, from its own actions: its store flags
-    (no type, one value) and store_true flags by option string, the defaults
-    of those not required, and the dests of those required. Any other action
-    (-h) is left out, so an argv that names it takes argparse's path."""
-    actions = [a for a in parser._actions
-               if type(a) is argparse._StoreTrueAction
-               or type(a) is argparse._StoreAction and a.type is None and a.nargs is None]
-    return ({option: a for a in actions for option in a.option_strings},
-            {a.dest: a.default for a in actions if not a.required},
-            [a.dest for a in actions if a.required])
+        for action in options.values():
+            if action.dest not in values:
+                if action.required:
+                    return None
+                values[action.dest] = action.default
+        return values
 
 
 @functools.cache
 def _template() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process on first use."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    common.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="omit the timestamp so identical runs are byte-identical",
-    )
-
+    """The argparse tree and each command's exact-path plan, built once per process on first use."""
     parser = _Parser(
         prog="assetval",
         description="Intrinsic (time-value-of-money) valuation and depreciation of assets",
@@ -606,11 +588,10 @@ def _template() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True, parser_class=argparse.ArgumentParser
     )
+    parser.plans = {}
     for name, (help_text, flags) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, options in flags.items():
-            p.add_argument(flag, **options)
-    parser.plans = {name: _plan(p) for name, p in sub.choices.items()}
+        add = sub.add_parser(name, help=help_text).add_argument
+        parser.plans[name] = {flag: add(flag, **kw) for flag, kw in {**COMMON, **flags}.items()}
     return parser
 
 

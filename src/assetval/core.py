@@ -14,7 +14,7 @@ forms divided through by (1+r)^l, so every exponent is <= 0 and nothing overflow
     intrinsic value  V(r, l, a)  = cost * (expm1(-(l-a)*g) / E)
     depreciation     V(b) - V(a) = -cost * exp(-(l-b)*g) * expm1(-(b-a)*g) / E
 
-Below l*g = 2^-53 (rate 0 included) V is the straight line cost * (1 - a/l),
+Below l*g = 2^-53 (rate 0 included) V is the straight line cost * ((l-a)/l),
 which the closed form equals there to double precision.
 
 Costs are stored as positive magnitudes; expense results (present and
@@ -152,7 +152,7 @@ def _value_curve(asset: AssetSpec, rate: DiscountRate, ages: Iterable[float]) ->
     if lg >= _STRAIGHT_LINE_BELOW:
         e, expm1 = math.expm1(-lg), math.expm1
         return [cost * (expm1(-((life - age) * g)) / e) for age in ages]
-    return [cost * (1.0 - age / life) for age in ages]
+    return [cost * ((life - age) / life) for age in ages]
 
 
 def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuation:
@@ -160,7 +160,8 @@ def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuati
 
     Lies in [0, cost]; cost at age 0 and +0.0 at age = lifetime. Near rate 0
     the two expense terms diverge but their difference does not: below
-    l*log1p(r) = 2^-53 (rate 0 included) it is the straight line cost * (1 - age/l).
+    l*log1p(r) = 2^-53 (rate 0 included) it is the straight line cost * ((l - age)/l),
+    whose remaining fraction keeps its relative precision up to age = l.
     """
     life = asset.lifetime
     if not 0 <= age <= life:  # NaN and +-inf fail here too
@@ -170,7 +171,7 @@ def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuati
     if lg >= _STRAIGHT_LINE_BELOW:
         # ratio in [0, 1]: V(0) is exactly cost; -((life - age) * g) = -0.0 makes V(life) +0.0
         return _VALUATION((asset.cost * (math.expm1(-((life - age) * g)) / math.expm1(-lg)),))
-    return _VALUATION((asset.cost * (1.0 - age / life),))
+    return _VALUATION((asset.cost * ((life - age) / life),))
 
 
 def intrinsic_depreciation(

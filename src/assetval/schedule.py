@@ -114,7 +114,7 @@ def chord_gap(asset: AssetSpec, rate: DiscountRate) -> float:
     """
     life = _periods(asset)
     values = _value_curve(asset, rate, range(life + 1))
-    return max(v - asset.cost * (1.0 - a / life) for a, v in enumerate(values))
+    return max(v - asset.cost * ((life - a) / life) for a, v in enumerate(values))
 
 
 def trade_surplus(

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -127,6 +129,32 @@ class TestSchedule:
         assert code == 0
         _, rows = parse_csv(out)
         assert all(r[1] == "-10.0000" for r in rows)
+
+    def test_straight_line_keeps_its_precision_at_end_of_life(self):
+        """Straight-line books are cost * ((l - a) / l), within an ulp of the exact
+        book at every period. cost * (1 - a/l) cancelled near a = l: period 99999
+        here printed -10000000000.0655, 9999999999.9545, 24,000 ulps off."""
+        asset = ("--cost", "1e15", "--life", "100000", "--format", "csv")
+        code, out = run("schedule", *asset, "--method", "sl")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[-3:] == [["99998", "-10000000000.0000", "20000000000.0000"],
+                             ["99999", "-10000000000.0000", "10000000000.0000"],
+                             ["100000", "-10000000000.0000", "0.0000"]]
+        for n, (_, expense, book) in enumerate(rows, 1):
+            exact = 10**10 * (100_000 - n)
+            slack = Decimal(math.ulp(exact + 10**10)) + Decimal("0.00005")  # and the printed rounding
+            assert abs(Decimal(book) - exact) <= slack, n
+            assert abs(Decimal(expense) + 10**10) <= 2 * slack, n
+        # the rate-0 intrinsic line: each book is the last one plus its expense
+        code, out = run("schedule", *asset, "--method", "intrinsic", "--rate", "0")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert {r[1] for r in rows} == {"-10000000000.0000"}
+        books = [10**15] + [Decimal(r[2]) for r in rows]
+        for n in range(1, len(books)):
+            slack = 2 * Decimal(math.ulp(books[n - 1])) + Decimal("0.0001")
+            assert abs(books[n - 1] - 10**10 - books[n]) <= slack, n
 
     def test_ddb_residual(self):
         code, out = run(

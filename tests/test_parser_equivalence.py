@@ -155,7 +155,7 @@ def test_every_flag_is_in_the_plan_or_is_help():
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert parser.plans.keys() == subparsers.choices.keys() == COMMANDS.keys()
     for name, subparser in subparsers.choices.items():
-        options = parser.plans[name][0]
+        options = parser.plans[name]
         for action in subparser._actions:
             if not isinstance(action, argparse._HelpAction):
                 assert [options.get(o) for o in action.option_strings] == [action] * len(

@@ -56,14 +56,14 @@ from assetval import (
 from assetval.cli import (
     COMMANDS,
     METHOD_TOKENS,
+    _ROW,
     _batch_record,
     _json_rows,
     _money,
     _render,
+    _row_cells,
     _schedule_csv,
-    _schedule_json,
     _write_json,
-    fmt_money,
     main,
 )
 from assetval.classic import _as_period
@@ -75,6 +75,12 @@ CLASSIC_BOOK = {
     Method.SUM_OF_YEARS: sum_of_years_book_value,
 }
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+def fmt_money(x):
+    """x as a money cell, one value at a time: the reference for the CLI's templates."""
+    s = f"{x:.4f}"
+    return "0.0000" if s == "-0.0000" else s
 
 
 def pow10(x):
@@ -258,7 +264,7 @@ def test_value_curve_equals_the_point_path_bit_for_bit(inputs, fractions):
     values = [intrinsic_value(asset, rate, a).amount for a in range(life + 1)]
     assert list(map(float.hex, rate_sweep(asset, [rate, rate]).values[1])) == list(
         map(float.hex, values))
-    gap = max(v - asset.cost * (1.0 - a / life) for a, v in enumerate(values))
+    gap = max(v - asset.cost * ((life - a) / life) for a, v in enumerate(values))
     assert float.hex(chord_gap(asset, rate)) == float.hex(gap)
 
 
@@ -272,7 +278,7 @@ def _discount(asset, rate):
 def _value_at(cost, life, g, e, age):
     """V(age) on precomputed g and E; the age is unchecked."""
     if not e:
-        return cost * (1.0 - age / life)
+        return cost * ((life - age) / life)
     return cost * (math.expm1(-((life - age) * g)) / e)
 
 
@@ -339,7 +345,7 @@ def test_point_valuations_equal_their_composed_forms(inputs):
 
 def composed_straight_line(asset, age):
     check_age(asset, age)
-    return asset.cost * (1.0 - age / asset.lifetime)
+    return asset.cost * ((asset.lifetime - age) / asset.lifetime)
 
 
 def composed_double_declining(asset, age):
@@ -505,9 +511,10 @@ money_doubles = finite_doubles | near_cut
 # one cell above the cut, where "%.4f" would print 703275009772.6639
 @example([(-0.00004, 0.00005), (703275009772.664, 1.25)], [])
 def test_schedule_rows_written_as_json_module_writes_their_dicts(rows, nesting):
-    """_schedule_json(rows) at any pad is json.dumps(indent=2) of the rows'
-    dict form; nesting puts it under dicts (True) and iterators (False)."""
-    obj = _schedule_json(rows)
+    """A schedule's rows as cmd_schedule hands them to _write_json are, at any
+    pad, json.dumps(indent=2) of the rows' dict form; nesting puts them under
+    dicts (True) and iterators (False)."""
+    obj = _json_rows(_ROW, tuple(_row_cells(rows)))
     want = [{"period": n, "expense": _money(e), "book_value": _money(b)}
             for n, (e, b) in enumerate(rows, 1)]
     for in_dict in nesting:
