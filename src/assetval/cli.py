@@ -15,9 +15,6 @@ a header row.
 
 from __future__ import annotations
 
-import argparse
-import copy
-import csv
 import functools
 import io
 import json
@@ -28,11 +25,10 @@ import stat
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
-from datetime import datetime, timezone
 from itertools import chain
 from operator import sub
-from pathlib import Path
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .classic import Method
@@ -40,6 +36,9 @@ from .core import AssetSpec, DiscountRate, delayed_present_cost, intrinsic_value
 from .errors import InvalidInput
 # chord_gap and trade_surplus are not called here; the benchmark's tracer patches them by name
 from .schedule import MAX_PERIODS, build_schedule, chord_gap, compare_methods, rate_sweep, trade_surplus
+
+if TYPE_CHECKING:  # for annotations: cmd_batch imports it, so that only batch pays for it
+    from pathlib import Path
 
 METHOD_TOKENS = {
     "intrinsic": Method.INTRINSIC,
@@ -126,6 +125,8 @@ def _write_json(write, obj, pad: str = "\n") -> None:
 def _emit_json(out, command: str, payload: dict, deterministic: bool) -> None:
     env: dict = {"tool_version": __version__, "command": command}
     if not deterministic:
+        from datetime import datetime, timezone
+
         env["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     env["payload"] = payload
     _write_json(out.write, env)
@@ -146,6 +147,8 @@ def _write_long(write, text: str) -> None:
 
 
 def _emit_csv(out, header: list[str], body: str) -> None:
+    import csv
+
     csv.writer(out, lineterminator="\n").writerow(header)
     _write_long(out.write, body)
 
@@ -243,16 +246,20 @@ def _batch_json(rec_id: str, cost: float, age: float, value: float, rows: Sequen
     return "{" + inner + '"id": ' + _json_str(rec_id) + "," + inner + '"age": ' + repr(age) + money
 
 
-# writerow returns what its file's write returns, here the row's text; with a
-# "\r\n" terminator, every Python version quotes a cell holding CR or LF.
-_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+@functools.cache
+def _csv_line() -> Callable[[Iterable], str]:
+    """A csv writer's writerow that returns the row's text, as its file's write returns
+    it; with a "\r\n" terminator, every Python version quotes a cell holding CR or LF."""
+    import csv
+
+    return csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
 
 
 def _schedule_csv(rec_id: str, value: float, rows: Sequence[tuple[float, float]]) -> str:
     """A batch record's CSV lines, each ending in "\\n": id and value as the csv
     module writes them, then period (from 1), expense and book_value, money as
     _fill writes it. rows is a schedule's, never empty and all finite."""
-    prefix = _csv_line((rec_id, _fill("%.4f", (value,)), ""))[:-2]  # "id,value,"
+    prefix = _csv_line()((rec_id, _fill("%.4f", (value,)), ""))[:-2]  # "id,value,"
     body = _fill(_CSV_ROW * len(rows), _row_cells(rows))
     # the id goes in after the fill, which would change an id holding "-0.0000"
     return prefix + body.replace("\n", "\n" + prefix, len(rows) - 1)
@@ -363,6 +370,8 @@ def _load_registry(path: Path) -> list[dict]:
     """Rows as dicts with string values; format sniffed by extension."""
     suffix = path.suffix.lower()
     if suffix == ".csv":
+        import csv
+
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
@@ -408,6 +417,9 @@ def _batch_record(record: dict) -> tuple[float, float, float, tuple[tuple[float,
 def cmd_batch(args, out) -> int:
     """Each registry record's value and schedule, or its error. JSON writes each
     entry as its record is computed, as one string (_batch_json) after its separator."""
+    import csv  # for csv.Error, which a CSV registry's cell over the size limit raises
+    from pathlib import Path
+
     fd = created = records = None
     if args.output:
         # opened before any record is read, so that an unwritable output fails
@@ -528,82 +540,93 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """The top-level parser, which parses a well-formed command without argparse.
+def _flag_plan(flag: str, options: dict) -> tuple[str, bool, object, bool, tuple | None]:
+    """(dest, store_true, default, required, choices) of a COMMON or COMMANDS flag,
+    as argparse's add_argument(flag, **options) sets them."""
+    store_true = options.get("action") == "store_true"
+    default = options.get("default", False if store_true else None)
+    return (flag[2:].replace("-", "_"), store_true, default, options.get("required", False),
+            options.get("choices"))
+
+
+class _Parser:
+    """The command line's parser, which parses a well-formed command without argparse.
 
     A well-formed argv is a command name, then only that command's option
     strings spelled in full, each store flag followed by a value that does
     not start with "-" (one of its choices, if it has any), with every
-    required flag given; _exact gives it the namespace argparse's own path
-    gives it. Every other argv (-h, --x=v, an abbreviation, a value starting
-    with "-", a missing or extra token, a bad choice, "--") takes argparse's
-    own path, so help, errors, their usage lines and exit codes stay its own.
+    required flag given; parse_args gives it, as a types.SimpleNamespace, the
+    attributes argparse's own path gives it. Every other argv (-h, --version,
+    --x=v, an abbreviation, a value starting with "-", a missing or extra
+    token, a bad choice, "--") takes argparse's own path on the tree that
+    _template() builds, so help, errors, their usage lines and exit codes
+    stay argparse's own. Only such an argv imports argparse.
     """
 
-    # name -> {option string: the action add_argument made for it}, set by _template;
-    # -h is not in it, so an argv that names it takes argparse's path
-    plans: dict[str, dict[str, argparse.Action]]
+    # name -> {option string: _flag_plan of it}, from COMMON and COMMANDS in the
+    # order _template adds them; -h is not in it, so an argv that names it takes argparse's path
+    plans = {name: {flag: _flag_plan(flag, options) for flag, options in {**COMMON, **flags}.items()}
+             for name, (_, flags) in COMMANDS.items()}
 
-    def parse_known_args(self, args=None, namespace=None):
+    def parse_args(self, args: Sequence[str] | None = None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
         values = self._exact(args) if args and namespace is None else None
         if values is None:
-            return super().parse_known_args(args, namespace)
-        return argparse.Namespace(**values), []
+            return _template().parse_args(args, namespace)
+        return SimpleNamespace(**values)
 
     def _exact(self, args: list[str]) -> dict | None:
         """The namespace of args as a dict, or None if args are not of the exact form."""
-        options = self.plans.get(args[0])
-        if options is None:
+        plan = self.plans.get(args[0])
+        if plan is None:
             return None
         values = {"command": args[0]}
         tokens = iter(args[1:])
         for token in tokens:
-            action = options.get(token)
-            if action is None:
+            flag = plan.get(token)
+            if flag is None:
                 return None
-            if action.nargs == 0:  # store_true
-                values[action.dest] = action.const
+            dest, store_true, _, _, choices = flag
+            if store_true:
+                values[dest] = True
                 continue
             value = next(tokens, "-")  # a store flag with no value left bails
-            if value.startswith("-") or action.choices is not None and value not in action.choices:
+            if value.startswith("-") or choices is not None and value not in choices:
                 return None
-            values[action.dest] = value
-        for action in options.values():
-            if action.dest not in values:
-                if action.required:
+            values[dest] = value
+        for dest, _, default, required, _ in plan.values():
+            if dest not in values:
+                if required:
                     return None
-                values[action.dest] = action.default
+                values[dest] = default
         return values
 
 
 @functools.cache
-def _template() -> argparse.ArgumentParser:
-    """The argparse tree and each command's exact-path plan, built once per process on first use."""
-    parser = _Parser(
+def _template():
+    """The argparse.ArgumentParser tree of COMMON and COMMANDS, built once per
+    process on the first argv that leaves the exact path."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
         prog="assetval",
         description="Intrinsic (time-value-of-money) valuation and depreciation of assets",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=argparse.ArgumentParser
-    )
-    parser.plans = {}
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags) in COMMANDS.items():
         add = sub.add_parser(name, help=help_text).add_argument
-        parser.plans[name] = {flag: add(flag, **kw) for flag, kw in {**COMMON, **flags}.items()}
+        for flag, options in {**COMMON, **flags}.items():
+            add(flag, **options)
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser over the one argparse tree the process builds.
-
-    The copy's own attributes are a shallow copy of the tree's, so an
-    attribute set on it (a wrapped parse_args, say) stays on it, while its
-    actions and subparsers are shared: use it to parse, never extend it.
-    Parsing writes only to the Namespace it returns.
-    """
-    return copy.copy(_template())
+def build_parser() -> _Parser:
+    """A new parser per call, so that an attribute set on it (a wrapped
+    parse_args, say) stays on it. It holds nothing of its own: parsing reads
+    the class's plans and, off the exact path, the process's one argparse tree,
+    and writes only to the namespace it returns."""
+    return _Parser()
 
 
 def main(argv: list[str] | None = None, out: io.TextIOBase | None = None) -> int:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import partial
 from math import exp, expm1, log1p
 from typing import NamedTuple
@@ -42,36 +41,74 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class AssetSpec:
+class _Frozen:
+    """Immutable value semantics over the fields named in __match_args__, for a
+    slotted class whose __init__ validates and sets them through object.__setattr__.
+
+    Equal only to an instance of the same class with equal fields, hashed as
+    the tuple of its fields, shown as Name(field=value, ...). Assigning or
+    deleting a field raises AttributeError. Copy, deepcopy and pickle rebuild
+    it through the class, which validates again: the default protocol would
+    set its slots through the __setattr__ that raises.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AssetSpec(_Frozen):
     """Replacement cost (positive magnitude) and lifetime in periods."""
 
+    __slots__ = __match_args__ = ("cost", "lifetime")
     cost: float
     lifetime: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.cost) and self.cost > 0):
+    def __init__(self, cost: float, lifetime: float) -> None:
+        if not (math.isfinite(cost) and cost > 0):
+            raise InvalidInput(f"cost must be a positive finite number, got {cost!r}", field="cost")
+        if not (math.isfinite(lifetime) and lifetime > 0):
             raise InvalidInput(
-                f"cost must be a positive finite number, got {self.cost!r}", field="cost"
+                f"lifetime must be a positive finite number, got {lifetime!r}", field="lifetime"
             )
-        if not (math.isfinite(self.lifetime) and self.lifetime > 0):
-            raise InvalidInput(
-                f"lifetime must be a positive finite number, got {self.lifetime!r}",
-                field="lifetime",
-            )
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "lifetime", lifetime)
 
 
-@dataclass(frozen=True)
-class DiscountRate:
+class DiscountRate(_Frozen):
     """Per-period cost of capital as a dimensionless fraction (0.2 = 20%)."""
 
+    __slots__ = __match_args__ = ("rate",)
     rate: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.rate) or self.rate < 0:
+    def __init__(self, rate: float) -> None:
+        if not math.isfinite(rate) or rate < 0:
             raise InvalidInput(
-                f"rate must be a non-negative finite number, got {self.rate!r}", field="rate"
+                f"rate must be a non-negative finite number, got {rate!r}", field="rate"
             )
+        object.__setattr__(self, "rate", rate)
 
 
 class Valuation(NamedTuple):
@@ -79,10 +116,11 @@ class Valuation(NamedTuple):
 
     Present and delayed cost are expenses and carry a negative amount;
     intrinsic value lies in [0, cost]. A NamedTuple, because every point
-    valuation builds one: a frozen dataclass assigns each field through
-    object.__setattr__, which costs several times the formula. The point
-    functions build it through tuple.__new__ (_VALUATION), since the
-    NamedTuple's own __new__ is a Python function, one more frame per call.
+    valuation builds one: a tuple is made in C, where a class that sets its
+    fields (as AssetSpec does) runs a Python __init__, which costs about as
+    much as the formula. The point functions build it through tuple.__new__
+    (_VALUATION), since the NamedTuple's own __new__ is a Python function,
+    one more frame per call.
     """
 
     amount: float

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from operator import sub
 from typing import NamedTuple
@@ -26,18 +25,15 @@ class ScheduleRow(NamedTuple):
     book_value: float  # >= 0
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     rows: tuple[ScheduleRow, ...]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     schedules: tuple[Schedule, ...]  # in the order of the methods asked for
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     values: tuple[tuple[float, ...], ...]  # values[rate_index][age]
 
 

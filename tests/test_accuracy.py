@@ -1,0 +1,170 @@
+"""The accuracy contract, checked against an 80-digit decimal reference.
+
+For inputs taken as the exact values of their doubles, `intrinsic_value`,
+`intrinsic_depreciation`, `straight_line_book_value` and
+`sum_of_years_book_value` return a double within
+
+    ULPS * (1 + (l - a) * g)   ulps of the exact result,
+
+where g = log1p(rate) is the double the code computes, a is the age (the
+start age for a depreciation) and g = 0 for a classical book value. The
+(l - a) * g term is the conditioning of the exponential: an error of one
+rounding in g moves exp(-(l - a) * g) by about that many ulps. The
+contract covers normal results only; a result below the smallest normal
+double (about 2.2e-308) is out of it. Two known breaks are outside the
+contract until mended, and each is pinned below as a strict xfail:
+double-declining books, and a depreciation computed through a subnormal
+intermediate (the factor exp(-(l - b) * g), or the span over the lifetime
+or times g) whose result is normal.
+
+The reference is independent of the code's formulas' rounding: it
+evaluates the same closed forms in decimal arithmetic at 80 digits, with
+series for log1p and 1 - exp(-x) at tiny arguments.
+"""
+
+import math
+import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from assetval import (
+    AssetSpec,
+    DiscountRate,
+    double_declining_book_value,
+    intrinsic_depreciation,
+    intrinsic_value,
+    straight_line_book_value,
+    sum_of_years_book_value,
+)
+from assetval.core import _STRAIGHT_LINE_BELOW
+from assetval.schedule import MAX_PERIODS
+from test_properties import SETTINGS, costs, fractions, lifetimes, rates
+
+ULPS = 4  # measured worst over 120,000 random draws: 3.9 (1 + (l - a) * g) ulps
+EXACT = Context(prec=80, Emin=MIN_EMIN, Emax=MAX_EMAX)
+TINY = Decimal("1e-20")  # below it, two or three series terms are exact to 80 digits
+
+
+def exact_log1p(r: Decimal) -> Decimal:
+    if r < TINY:
+        return EXACT.add(EXACT.subtract(r, EXACT.divide(EXACT.multiply(r, r), 2)),
+                         EXACT.divide(EXACT.power(r, 3), 3))
+    return EXACT.ln(EXACT.add(1, r))
+
+
+def exact_one_minus_exp_neg(x: Decimal) -> Decimal:
+    if x < TINY:
+        return EXACT.add(EXACT.subtract(x, EXACT.divide(EXACT.multiply(x, x), 2)),
+                         EXACT.divide(EXACT.power(x, 3), 6))
+    return EXACT.subtract(1, EXACT.exp(-x))
+
+
+def exact_value(cost, life, rate, age) -> Decimal:
+    cost, life, rate, age = map(Decimal, (cost, life, rate, age))
+    if rate == 0:
+        return EXACT.divide(EXACT.multiply(cost, EXACT.subtract(life, age)), life)
+    g = exact_log1p(rate)
+    kept = exact_one_minus_exp_neg(EXACT.multiply(EXACT.subtract(life, age), g))
+    return EXACT.divide(EXACT.multiply(cost, kept), exact_one_minus_exp_neg(EXACT.multiply(life, g)))
+
+
+def exact_depreciation(cost, life, rate, start, end) -> Decimal:
+    cost, life, rate, start, end = map(Decimal, (cost, life, rate, start, end))
+    if rate == 0:
+        return -EXACT.divide(EXACT.multiply(cost, EXACT.subtract(end, start)), life)
+    g = exact_log1p(rate)
+    left = EXACT.exp(-EXACT.multiply(EXACT.subtract(life, end), g))
+    drop = EXACT.multiply(left, exact_one_minus_exp_neg(EXACT.multiply(EXACT.subtract(end, start), g)))
+    return -EXACT.divide(EXACT.multiply(cost, drop), exact_one_minus_exp_neg(EXACT.multiply(life, g)))
+
+
+def exact_book(method: str, cost, life: int, age: int) -> Decimal:
+    cost = Decimal(cost)
+    if method == "sl":
+        return EXACT.divide(EXACT.multiply(cost, life - age), life)
+    if method == "syd":
+        digits = life * (life + 1) // 2
+        return EXACT.divide(EXACT.multiply(cost, digits - (age * life - age * (age - 1) // 2)), digits)
+    base = EXACT.subtract(1, min(EXACT.divide(2, life), Decimal(1)))  # ddb
+    return EXACT.multiply(cost, EXACT.power(base, age) if age else Decimal(1))
+
+
+def subnormal_intermediate(life: float, rate: float, start: float, end: float) -> bool:
+    """Whether intrinsic_depreciation passes through a subnormal: the factor
+    exp(-(l - end) * g), or the span over l (straight-line branch) or times g."""
+    g, span = math.log1p(rate), end - start
+    inner = span / life if life * g < _STRAIGHT_LINE_BELOW else span * g
+    return math.exp(-(life - end) * g) < sys.float_info.min or 0 < inner < sys.float_info.min
+
+
+def assert_within_contract(got: float, exact: Decimal, conditioning: float) -> None:
+    """got within ULPS * (1 + conditioning) ulps of a normal exact result; an exact
+    zero must come back as zero, and a subnormal one is out of the contract."""
+    nearest = float(exact)
+    if exact == 0:
+        assert got == 0
+    elif abs(nearest) >= sys.float_info.min:
+        ulps = abs(Decimal(got) - exact) / Decimal(math.ulp(nearest))
+        assert ulps <= ULPS * (1 + conditioning), (got, nearest, float(ulps), conditioning)
+
+
+@SETTINGS
+@given(costs, lifetimes, rates, fractions, fractions)
+@example(100.0, 10.0, 0.2, 0.5, 0.5)
+@example(100.0, 1687.0, 1e-20, 1.0 - 1e-12, 1.0)  # straight-line branch near end of life
+@example(100.0, 10.0, 1e-12, 0.5, 0.5)  # the closed form a few decades above the switch
+@example(2.0, 142.0, 147.0, 0.0, 0.5)
+@example(1e12, 1e6, 1e3, 0.9999, 1.0)
+def test_intrinsic_value_and_depreciation_meet_the_contract(cost, life, rate, frac, frac_end):
+    asset, r = AssetSpec(cost, life), DiscountRate(rate)
+    start = min(frac * life, life)
+    end = min(start + frac_end * (life - start), life)
+    conditioning = (life - start) * math.log1p(rate)
+    assert_within_contract(intrinsic_value(asset, r, start).amount,
+                           exact_value(cost, life, rate, start), conditioning)
+    if not subnormal_intermediate(life, rate, start, end):
+        assert_within_contract(intrinsic_depreciation(asset, r, start, end),
+                               exact_depreciation(cost, life, rate, start, end), conditioning)
+
+
+@SETTINGS
+@given(costs, st.integers(1, 10) | st.integers(1, MAX_PERIODS), fractions)
+@example(1e15, 100000, 0.99999)
+@example(100.0, 1, 1.0)
+def test_straight_line_and_sum_of_years_books_meet_the_contract(cost, life, frac):
+    asset, age = AssetSpec(cost, life), round(frac * life)
+    assert_within_contract(straight_line_book_value(asset, age), exact_book("sl", cost, life, age), 0)
+    assert_within_contract(sum_of_years_book_value(asset, age), exact_book("syd", cost, life, age), 0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="double-declining rounds its base 1 - 2/l, then raises it to the age")
+def test_double_declining_books_meet_the_contract():
+    """cost * (1 - 2/l)**age carries the base's rounding age times: the book at
+    l = age = 100 is 14 ulps off, and near l = 1e6 some 4e5, where
+    exp(age * log1p(-2/l)) would keep it within a few. A mend changes the
+    books' bits; it is not made yet."""
+    for life in (10, 1000, 976117):
+        asset = AssetSpec(100.0, life)
+        for age in (1, life // 2, life):
+            assert_within_contract(double_declining_book_value(asset, age),
+                                   exact_book("ddb", 100.0, life, age), 0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a subnormal intermediate keeps only some of a double's bits")
+@pytest.mark.parametrize("cost, life, rate, start, end", [
+    # exp(-1800 * log1p(0.5)), about 1.1e-317, holds 21 significant bits; the
+    # depreciation, about -3.6e-306, is 1.6e7 ulps off where 2,925 are allowed
+    (1e12, 3000.0, 0.5, 1199.0, 1200.0),
+    # span / l = 1e-311 holds 41 bits; -1e-299 is 373 ulps off where 4 are allowed
+    (1e12, 10.0, 0.0, 0.0, 1e-310),
+])
+def test_depreciation_through_a_subnormal_meets_the_contract(cost, life, rate, start, end):
+    if not subnormal_intermediate(life, rate, start, end):
+        pytest.fail("the example does not pass through a subnormal")
+    assert_within_contract(intrinsic_depreciation(AssetSpec(cost, life), DiscountRate(rate), start, end),
+                           exact_depreciation(cost, life, rate, start, end),
+                           (life - start) * math.log1p(rate))

@@ -5,7 +5,9 @@ oracle (and direct arithmetic for the trivial cases) before the closed
 forms were trusted.
 """
 
+import copy
 import math
+import pickle
 from decimal import Decimal, localcontext
 from functools import partial
 from itertools import product
@@ -22,11 +24,13 @@ from assetval import (
     Valuation,
     ZeroRateDivergence,
     build_schedule,
+    compare_methods,
     delayed_present_cost,
     intrinsic_depreciation,
     intrinsic_value,
     perpetuity_oracle,
     present_cost,
+    rate_sweep,
 )
 from assetval.core import check_age
 
@@ -309,6 +313,92 @@ class TestTypeInvariants:
     def test_bad_rate(self, rate):
         with pytest.raises(InvalidInput):
             DiscountRate(rate)
+
+
+class TestValueSemantics:
+    """AssetSpec and DiscountRate are immutable values: built by keyword or by
+    position, equal and hashed by their fields, rebuilt by copy and pickle."""
+
+    def test_keyword_and_positional_construction_keep_the_given_numbers(self):
+        asset = AssetSpec(cost=100, lifetime=10)
+        assert asset == AssetSpec(100, 10) == AssetSpec(100, lifetime=10)
+        assert (asset.cost, asset.lifetime) == (100, 10)
+        assert type(asset.cost) is int and type(asset.lifetime) is int
+        assert DiscountRate(rate=0).rate == 0 and type(DiscountRate(0).rate) is int
+        assert DiscountRate(0.2) == DiscountRate(rate=0.2)
+
+    @pytest.mark.parametrize("make, field, message", [
+        (lambda: AssetSpec(0, 10), "cost", "cost must be a positive finite number, got 0"),
+        (lambda: AssetSpec(-1.5, math.nan), "cost", "cost must be a positive finite number, got -1.5"),
+        (lambda: AssetSpec(cost=math.inf, lifetime=-1), "cost",
+         "cost must be a positive finite number, got inf"),
+        (lambda: AssetSpec(100, 0), "lifetime", "lifetime must be a positive finite number, got 0"),
+        (lambda: AssetSpec(100, lifetime=math.nan), "lifetime",
+         "lifetime must be a positive finite number, got nan"),
+        (lambda: DiscountRate(-0.01), "rate", "rate must be a non-negative finite number, got -0.01"),
+        (lambda: DiscountRate(rate=math.inf), "rate", "rate must be a non-negative finite number, got inf"),
+    ])
+    def test_bad_input_names_its_field_first_cost_then_lifetime(self, make, field, message):
+        with pytest.raises(InvalidInput) as caught:
+            make()
+        assert type(caught.value) is InvalidInput
+        assert (caught.value.field, str(caught.value)) == (field, message)
+
+    def test_a_non_number_or_a_missing_field_is_a_type_error(self):
+        for make in (lambda: AssetSpec("100", 10), lambda: AssetSpec(100),
+                     lambda: DiscountRate(None), lambda: DiscountRate(rate=0.2, cost=1)):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_equal_and_hashed_by_fields_within_the_class_only(self):
+        asset, rate = AssetSpec(100, 10), DiscountRate(0.2)
+        assert asset == AssetSpec(100.0, 10.0) and not asset != AssetSpec(100.0, 10.0)
+        assert hash(asset) == hash(AssetSpec(100.0, 10.0)) == hash((100, 10))
+        assert hash(rate) == hash(DiscountRate(0.2)) == hash((0.2,))
+        assert asset != AssetSpec(100, 11) and rate != DiscountRate(0.3)
+        assert asset != (100, 10) and (100, 10) != asset and rate != (0.2,)
+        assert asset.__eq__((100, 10)) is NotImplemented
+        assert AssetSpec(1, 1) != DiscountRate(1) and DiscountRate(1) != AssetSpec(1, 1)
+        assert len({asset, AssetSpec(100.0, 10.0), rate, DiscountRate(0.2)}) == 2
+
+    def test_repr(self):
+        assert repr(AssetSpec(cost=100, lifetime=10.5)) == "AssetSpec(cost=100, lifetime=10.5)"
+        assert repr(DiscountRate(0.2)) == "DiscountRate(rate=0.2)"
+
+    def test_match_args(self):
+        match AssetSpec(100, 10), DiscountRate(0.2):
+            case AssetSpec(cost, life), DiscountRate(rate):
+                assert (cost, life, rate) == (100, 10, 0.2)
+            case _:
+                pytest.fail("positional patterns did not match")
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        asset, rate = AssetSpec(100, 10), DiscountRate(0.2)
+        with pytest.raises(AttributeError, match="cannot assign to field 'cost'"):
+            asset.cost = 1
+        with pytest.raises(AttributeError, match="cannot delete field 'lifetime'"):
+            del asset.lifetime
+        with pytest.raises(AttributeError, match="cannot assign to field 'rate'"):
+            rate.rate = 1
+        with pytest.raises(AttributeError):
+            asset.other = 1
+        assert (asset, rate) == (AssetSpec(100, 10), DiscountRate(0.2))
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_deepcopy_and_pickle_give_an_equal_value(self, clone):
+        for value in (AssetSpec(100, 10.5), DiscountRate(0), DiscountRate(0.2)):
+            twin = clone(value)
+            assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
+
+    def test_reports_keep_their_one_field_and_are_tuples(self):
+        schedule = build_schedule(REF_ASSET, Method.STRAIGHT_LINE)
+        assert schedule.rows[0] == (-10.0, 90.0) and schedule == (schedule.rows,)
+        comparison = compare_methods(REF_ASSET, [Method.STRAIGHT_LINE, Method.SUM_OF_YEARS])
+        assert comparison.schedules[0] == schedule
+        (values,) = rate_sweep(REF_ASSET, [R20]).values
+        assert values[0] == 100.0 and values[-1] == 0.0
 
 
 def _grid():

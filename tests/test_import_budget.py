@@ -1,0 +1,55 @@
+"""A well-formed command imports only what it runs.
+
+A shell command is one process, which pays for every module the package
+imports before it values anything. `dataclasses` (with `inspect`),
+`argparse` and `datetime` are not needed by a well-formed command: argparse
+is imported only for an argv that leaves the exact parse path, and datetime
+only for a JSON run that is not --deterministic. This runs the commands in a
+fresh interpreter and compares its modules with those loaded before the
+package was imported, since what `site` loads differs between machines.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import assetval
+
+CODE = """
+import io, json, sys
+before = set(sys.modules)
+from assetval.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv, out=io.StringIO()) == 0, argv
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+COMMANDS = [
+    ["value", "--cost", "100", "--life", "10", "--rate", "0.2", "--age", "5"],
+    ["schedule", "--cost", "100", "--life", "10", "--method", "sl", "--format", "csv"],
+    ["value", "--cost", "100", "--life", "10", "--rate", "0.2", "--format", "json", "--deterministic"],
+]
+
+UNUSED = {"dataclasses", "inspect", "argparse", "datetime"}
+
+
+def added_modules(commands):
+    env = {**os.environ, "PYTHONPATH": str(Path(assetval.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", CODE, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_well_formed_commands_import_none_of_the_unused_modules():
+    added = added_modules(COMMANDS)
+    assert "assetval.cli" in added
+    assert not added & UNUSED, sorted(added & UNUSED)
+
+
+def test_an_unusual_argv_and_a_timestamp_import_what_they_use():
+    added = added_modules([["value", "--cost=100", "--life", "10", "--rate", "0.2"],
+                           ["value", "--cost", "100", "--life", "10", "--rate", "0.2", "--format", "json"]])
+    assert {"argparse", "datetime"} <= added

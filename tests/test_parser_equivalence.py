@@ -5,11 +5,12 @@ without argparse: a command name, then only its exact option strings, each
 store flag followed by a value that does not start with "-" (one of the
 choices for --format), and every required flag given. Every other argv
 (--x=v, abbreviations, values starting with "-", -h, "--", missing or extra
-tokens) takes argparse's own path. For every golden argv (valid, error and
---help cases), hand-picked edge cases, Hypothesis draws from their tokens
-and Hypothesis draws of well-formed argv for every command, this checks
-that `build_parser().parse_args(argv)` gives the same namespace as
-`argparse.ArgumentParser.parse_known_args` on the same parser (with its
+tokens) takes argparse's own path on the tree that `cli._template()` builds
+from the same tables. For every golden argv (valid, error and --help
+cases), hand-picked edge cases, Hypothesis draws from their tokens and
+Hypothesis draws of well-formed argv for every command, this checks that
+`build_parser().parse_args(argv)` gives the same namespace attributes as
+`argparse.ArgumentParser.parse_known_args` on that tree (with its
 `unrecognized arguments` error), or exits with the same code, stdout and
 stderr.
 """
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from assetval.cli import COMMANDS, build_parser
+from assetval.cli import COMMANDS, _template, build_parser
 from test_cli_golden import ERRORS, HELP, valid_cases
 
 VALUE = ["value", "--cost", "100", "--life", "10", "--rate", "0.2"]
@@ -90,8 +91,8 @@ TOKENS = sorted({token for argv in GOLDEN_ARGV + EDGE_CASES for token in argv})
 
 
 def reference_parse(argv: list[str]) -> argparse.Namespace:
-    """argparse's own path: the top-level scan, then its subparsers action."""
-    parser = build_parser()
+    """argparse's own path on the tree: the top-level scan, then its subparsers action."""
+    parser = _template()
     namespace, extras = argparse.ArgumentParser.parse_known_args(parser, argv)
     if extras:
         parser.error("unrecognized arguments: %s" % " ".join(extras))
@@ -151,15 +152,23 @@ def test_well_formed_argv_parse_matches_argparse(argv):
 
 
 def test_every_flag_is_in_the_plan_or_is_help():
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert parser.plans.keys() == subparsers.choices.keys() == COMMANDS.keys()
+    """Each plan entry holds what argparse made of the same table entry: its
+    dest, whether it is a store_true switch, its default, required and choices."""
+    plans = build_parser().plans
+    subparsers = next(a for a in _template()._actions if isinstance(a, argparse._SubParsersAction))
+    assert plans.keys() == subparsers.choices.keys() == COMMANDS.keys()
     for name, subparser in subparsers.choices.items():
-        options = parser.plans[name]
+        planned = []
         for action in subparser._actions:
-            if not isinstance(action, argparse._HelpAction):
-                assert [options.get(o) for o in action.option_strings] == [action] * len(
-                    action.option_strings), (name, action.option_strings)
+            if isinstance(action, argparse._HelpAction):
+                continue
+            made = (action.dest, isinstance(action, argparse._StoreTrueAction), action.default,
+                    action.required, action.choices)
+            assert not made[1] or (action.nargs, action.const) == (0, True)
+            for option in action.option_strings:
+                assert plans[name].get(option) == made, (name, option)
+                planned.append(option)
+        assert planned == list(plans[name]), name
 
 
 def test_only_unusual_argv_reach_argparse(monkeypatch):

@@ -1,10 +1,12 @@
-"""build_parser() hands out a new parser per call over one argparse tree.
+"""build_parser() hands out a new parser per call.
 
 The benchmark's tracer (`bench/spans.py`) wraps `parse_args` on every
 parser that `build_parser()` returns, as the `cli.parse` span. One parser
 object returned to every caller would carry those wrappers from command
 to command, one more per command, until parsing hits the recursion
-limit; a parser per call keeps each wrapper on its own copy.
+limit; a parser per call keeps each wrapper on its own parser. The
+argparse tree that an unusual argv is parsed on is one per process, and
+the tracer never wraps it.
 """
 
 import contextlib
