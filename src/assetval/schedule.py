@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from itertools import chain, repeat, starmap
 from operator import sub
 from typing import NamedTuple
@@ -69,7 +70,8 @@ def build_schedule(
     value curve's books, classical ones from one book call per period and each
     book's drop. The benchmark's tracer counts those calls, so their functions
     are looked up at call time. starmap makes each row with tuple.__new__
-    (ScheduleRow, (expense, book)), as _make does. At most MAX_PERIODS periods.
+    (ScheduleRow, (expense, book)), as _make does, with the cyclic collector
+    paused (and restored as found, also on error). At most MAX_PERIODS periods.
     """
     life = _periods(asset)
     periods = range(1, life + 1)
@@ -81,7 +83,18 @@ def build_schedule(
     else:
         books = _value_curve(asset, rate, periods)
         expenses = map(intrinsic_depreciation, repeat(asset), repeat(rate), range(life), periods)
-    return Schedule(tuple(starmap(tuple.__new__, zip(repeat(ScheduleRow), zip(expenses, books)))))
+    # A ScheduleRow is a tuple subclass, which the cyclic collector never
+    # untracks, so each collection started during the build would walk every
+    # row built so far. Pause the collector (only if it is on) until the
+    # schedule is made; the collections it defers start after the return.
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        return Schedule(tuple(starmap(tuple.__new__, zip(repeat(ScheduleRow), zip(expenses, books)))))
+    finally:
+        if paused:
+            gc.enable()
 
 
 def compare_methods(

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from assetval import (
@@ -111,6 +113,76 @@ class TestBuildSchedule:
         again = build_schedule(AssetSpec(cost=100, lifetime=10), method, DiscountRate(0.2))
         assert again.rows == sched.rows
         assert hash(again.rows) == hash(sched.rows)
+
+
+class TestCollectorPause:
+    # build_schedule pauses the cyclic collector while it makes its rows (a
+    # tracked tuple subclass) and must leave it as it found it.
+    BUILDS = {
+        "intrinsic": lambda asset: build_schedule(asset, Method.INTRINSIC, R20),
+        "straight-line": lambda asset: build_schedule(asset, Method.STRAIGHT_LINE),
+        "compare": lambda asset: compare_methods(asset, ALL_METHODS, R20),
+    }
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=list(BUILDS))
+    def test_collector_left_as_found(self, build, enabled):
+        (gc.enable if enabled else gc.disable)()
+        build(ASSET)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("method", [Method.INTRINSIC, Method.SUM_OF_YEARS])
+    @pytest.mark.parametrize("compare", [False, True], ids=["build", "compare"])
+    def test_collector_restored_when_a_row_raises(self, method, compare, enabled, monkeypatch):
+        boom = RuntimeError("period 6")
+
+        def raising(fn):
+            def call(asset, *args):
+                if args[-1] == 6:
+                    raise boom
+                return fn(asset, *args)
+            return call
+
+        if method is Method.INTRINSIC:
+            monkeypatch.setattr(schedule, "intrinsic_depreciation",
+                                raising(schedule.intrinsic_depreciation))
+        else:
+            monkeypatch.setitem(schedule._CLASSIC_BOOK, method,
+                                raising(schedule._CLASSIC_BOOK[method]))
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError) as exc:
+            if compare:
+                compare_methods(ASSET, [Method.STRAIGHT_LINE, method], R20)
+            else:
+                build_schedule(ASSET, method, R20)
+        assert exc.value is boom
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("method", [Method.INTRINSIC, Method.STRAIGHT_LINE])
+    def test_no_collection_starts_during_a_long_build(self, method):
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.collect()  # so that no young collection is due as the build starts
+        gc.callbacks.append(hook)
+        try:
+            sched = build_schedule(AssetSpec(cost=100, lifetime=20_000), method, DiscountRate(1e-4))
+            during = len(starts)
+        finally:
+            gc.callbacks.remove(hook)
+        assert len(sched.rows) == 20_000
+        assert during == 0
 
 
 class TestPeriodLimit:
