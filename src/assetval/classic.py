@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from math import exp, log1p
 
 from .core import AssetSpec, check_age
 from .errors import NonIntegerPeriod
@@ -55,13 +56,19 @@ def straight_line_book_value(asset: AssetSpec, age: float) -> float:
 def double_declining_book_value(asset: AssetSpec, age: float) -> float:
     """cost * (1 - 2/lifetime)^age at integer ages; nonzero at end of life for lifetime > 2.
 
-    The factor 2/lifetime is capped at 1, so a one-period asset is written
-    off to 0 rather than below it.
+    The factor q = 2/lifetime is capped at 1, so a one- or two-period asset
+    is written off to 0 after its first period rather than below it.
+    Computed as cost * exp(age * log1p(-q)), which rounds the base once
+    for all ages, where the power of the rounded base 1 - q carries that
+    rounding age times (about age/2 ulps).
     """
     life = asset.lifetime
     if not (0 <= age <= life and age % 1 == 0 == life % 1):
         _period_fault(asset, age)
-    return asset.cost * (1.0 - min(2.0 / life, 1.0)) ** age  # bit for bit as at int(life), int(age)
+    q = min(2.0 / life, 1.0)
+    if q < 1.0:
+        return asset.cost * exp(age * log1p(-q))
+    return asset.cost * 0.0**age  # cost at age 0, else 0.0: log1p(-1) has no value
 
 
 def sum_of_years_book_value(asset: AssetSpec, age: float) -> float:

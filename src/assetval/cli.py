@@ -26,7 +26,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from itertools import chain
-from operator import sub
+from operator import itemgetter, sub
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -102,17 +102,27 @@ def _write_json(write, obj, pad: str = "\n") -> None:
     under dicts is consumed as it is written; a list (ages, periods, rates:
     ints and floats only) in one piece from its items' reprs; a callable (a
     batch entry, a schedule, a money list) returns its own text given pad;
-    a str, float or int (payloads hold no other scalar) as json.dumps writes it."""
+    a str, float or int (payloads hold no other scalar) as json.dumps writes it.
+    Each text over 4096 characters goes to write through _write_long."""
     inner = pad + "  "
     if isinstance(obj, dict):
         opener, closer, items = "{", "}", ((f"{_json_str(k)}: ", v) for k, v in obj.items())
     elif isinstance(obj, Iterator):
         opener, closer, items = "[", "]", (("", v) for v in obj)
-    elif isinstance(obj, list):
-        write("[" + inner + f",{inner}".join(map(repr, obj)) + pad + "]" if obj else "[]")
-        return
     else:
-        write(obj(pad) if callable(obj) else _json_str(obj) if isinstance(obj, str) else repr(obj))
+        if isinstance(obj, list):
+            text = "[" + inner + f",{inner}".join(map(repr, obj)) + pad + "]" if obj else "[]"
+        elif callable(obj):
+            text = obj(pad)
+        elif isinstance(obj, str):
+            text = _json_str(obj)
+        else:  # a float or int, never long
+            write(repr(obj))
+            return
+        if len(text) > 4096:
+            _write_long(write, text)
+        else:
+            write(text)
         return
     lead = opener + inner
     for key, value in items:
@@ -199,7 +209,7 @@ def _render(out, args, command: str, header: list[str], lines: str, cells: Itera
 _SURPLUS_ZEROS = r"0(?:00(?<=\.\d000)|0(?<=\.\d[1-9]00)|(?<=\.\d\d[1-9]0))(?=[,\n])"
 
 
-def _json_money(template: str, cells: tuple, exact: bool) -> str:
+def _json_money(template: str, cells: Sequence, exact: bool) -> str:
     """template % cells, each "%.4f" cell as repr(_money(x)) writes it. exact says that no
     money cell reaches 1e11: below it, "%.4f" % x has at most 15 significant digits, so it
     is the decimal nearest round(x, 4), which repr prints with its trailing zeros cut."""
@@ -216,7 +226,7 @@ def _item(row: str, pad: str) -> str:
     return "," + inner + row.replace("\n", inner)
 
 
-def _json_rows(row: str, cells: tuple) -> Callable[[str], str]:
+def _json_rows(row: str, cells: Sequence) -> Callable[[str], str]:
     """A list, never empty, as _write_json writes it at pad: each item is row
     % its share of cells, with "%.4f" for each money cell. Money, all finite,
     is written as _money rounds it."""
@@ -231,8 +241,19 @@ _ROW = '{\n  "period": %d,\n  "expense": %.4f,\n  "book_value": %.4f\n}'  # a sc
 _CSV_ROW = "%d,%.4f,%.4f\n"  # a schedule row's CSV line
 
 
-def _row_cells(rows: Sequence[tuple[float, float]]) -> Iterator:  # period (from 1), expense, book_value
-    return chain.from_iterable(zip(range(1, len(rows) + 1), *zip(*rows)))
+_EXPENSE, _BOOK = itemgetter(0), itemgetter(1)  # a schedule row's cells
+
+
+def _row_cells(rows: Sequence[tuple[float, float]]) -> list:
+    """Each row's period (from 1), expense and book_value, in one flat list made by
+    one slice assignment per column: no object per row, which the cyclic collector
+    would track and walk, as zip(*rows) makes an iterator per row."""
+    n = len(rows)
+    cells = [None] * (3 * n)
+    cells[0::3] = range(1, n + 1)
+    cells[1::3] = map(_EXPENSE, rows)
+    cells[2::3] = map(_BOOK, rows)
+    return cells
 
 
 def _batch_json(rec_id: str, cost: float, age: float, value: float, rows: Sequence, pad: str) -> str:
@@ -299,11 +320,11 @@ def cmd_schedule(args, out) -> int:
     method = _parse_method(args.method, "--method")
     rate = None if args.rate is None else parse_rate(args.rate, "--rate")
     rows = build_schedule(asset, method, rate).rows
-    _render(out, args, "schedule", ["period", "expense", "book_value"],
-            _CSV_ROW * len(rows), _row_cells(rows),
+    cells = _row_cells(rows)
+    _render(out, args, "schedule", ["period", "expense", "book_value"], _CSV_ROW * len(rows), cells,
             lambda: {"method": method.value,
                      "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
-                     "rows": _json_rows(_ROW, tuple(_row_cells(rows))),
+                     "rows": _json_rows(_ROW, cells),
                      # classical schedules do not use the rate
                      **({"rate": rate.rate} if method is Method.INTRINSIC else {})})
     return 0
@@ -314,7 +335,7 @@ def cmd_compare(args, out) -> int:
     tokens = _split(args.methods)
     methods = [_parse_method(t, "--methods") for t in tokens]
     rate = None if args.rate is None else parse_rate(args.rate, "--rate")
-    books = [[*zip(*s.rows)][1] for s in compare_methods(asset, methods, rate).schedules]
+    books = [list(map(_BOOK, s.rows)) for s in compare_methods(asset, methods, rate).schedules]
     periods = range(1, len(books[0]) + 1)
     row = "%d" + ",%.4f" * len(books) + "\n"
     _render(out, args, "compare", ["period"] + tokens, row * len(periods),
@@ -479,7 +500,11 @@ def cmd_batch(args, out) -> int:
             sink.write("id,value,period,expense,book_value\n")
             try:
                 for rec_id, _, _, value, rows in entries:
-                    sink.write(_schedule_csv(rec_id, value, rows))
+                    text = _schedule_csv(rec_id, value, rows)
+                    if len(text) > 4096:  # over about 100 rows
+                        _write_long(sink.write, text)
+                    else:
+                        sink.write(text)
             except UnicodeEncodeError as exc:  # an id that the sink's encoding cannot hold
                 where = "--output" if fd is not None else "stdout"
                 hint = "" if fd is not None else " (--output writes UTF-8)"

@@ -193,6 +193,20 @@ def _value_curve(asset: AssetSpec, rate: DiscountRate, ages: Iterable[float]) ->
     return [cost * ((life - age) / life) for age in ages]
 
 
+def _chord_gap(asset: AssetSpec, rate: DiscountRate, periods: int) -> float:
+    """Max over ages 0..periods (the lifetime, whole) of V less its straight-line
+    chord cost * ((life - age) / life), unchecked: _value_curve's operations less the
+    chord's, in one comprehension. Below the switch V is the chord, so the gap is 0.0."""
+    cost, life = asset.cost, asset.lifetime
+    g = log1p(rate.rate)
+    lg = life * g
+    if lg < _STRAIGHT_LINE_BELOW:
+        return 0.0
+    e = expm1(-lg)
+    return max([cost * (expm1(-((life - age) * g)) / e) - cost * ((life - age) / life)
+                for age in range(periods + 1)])
+
+
 def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuation:
     """Value of holding the aged asset: delayed cost minus present cost.
 
@@ -210,6 +224,34 @@ def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuati
         # ratio in [0, 1]: V(0) is exactly cost; -((life - age) * g) = -0.0 makes V(life) +0.0
         return _VALUATION((asset.cost * (math.expm1(-((life - age) * g)) / math.expm1(-lg)),))
     return _VALUATION((asset.cost * ((life - age) / life),))
+
+
+def _trade_surplus(
+    asset: AssetSpec, age: float, seller_rate: DiscountRate, buyer_rate: DiscountRate
+) -> float:
+    """Buyer's intrinsic valuation minus the seller's at the same age.
+
+    Non-negative whenever the buyer's cost of capital is the higher one, up
+    to rounding (at rates an ulp apart the two values can cross by an ulp of
+    cost); zero at age 0 and at end of life regardless of rates. Each value
+    is intrinsic_value's amount, by its float operations in the same order,
+    in this one frame: the public name is schedule.trade_surplus.
+    """
+    life = asset.lifetime
+    if not 0 <= age <= life:  # NaN and +-inf fail here too
+        check_age(asset, age)
+    cost, left = asset.cost, life - age
+    g = log1p(buyer_rate.rate)
+    lg = life * g
+    if lg >= _STRAIGHT_LINE_BELOW:
+        buyer = cost * (expm1(-(left * g)) / expm1(-lg))
+    else:
+        buyer = cost * (left / life)
+    g = log1p(seller_rate.rate)
+    lg = life * g
+    if lg >= _STRAIGHT_LINE_BELOW:
+        return buyer - cost * (expm1(-(left * g)) / expm1(-lg))
+    return buyer - cost * (left / life)
 
 
 def intrinsic_depreciation(

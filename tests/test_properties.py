@@ -352,7 +352,8 @@ def composed_double_declining(asset, age):
     life = _as_period(asset.lifetime, "lifetime")
     a = _as_period(age, "age")
     check_age(asset, a)
-    return asset.cost * (1.0 - min(2.0 / life, 1.0)) ** a
+    q = min(2.0 / life, 1.0)
+    return asset.cost * (math.exp(a * math.log1p(-q)) if q < 1.0 else 0.0**a)
 
 
 def composed_sum_of_years(asset, age):

@@ -1,4 +1,5 @@
 import gc
+import math
 
 import pytest
 
@@ -13,11 +14,13 @@ from assetval import (
     build_schedule,
     chord_gap,
     compare_methods,
+    intrinsic_value,
     rate_sweep,
     schedule,
     straight_line_book_value,
     trade_surplus,
 )
+from assetval.core import _chord_gap, check_age
 
 ASSET = AssetSpec(cost=100, lifetime=10)
 R20 = DiscountRate(0.2)
@@ -276,6 +279,13 @@ class TestChordGap:
         assert all(g >= 0 for g in gaps)
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
+    @pytest.mark.parametrize("rate", [R20, DiscountRate(0)])
+    def test_frames_do_not_grow_with_the_lifetime(self, entered, rate):
+        # one comprehension over the ages, with no generator frame resumed per age
+        codes = entered(chord_gap, AssetSpec(100, 1), rate)
+        assert codes[0] is chord_gap.__code__ and _chord_gap.__code__ in codes
+        assert entered(chord_gap, AssetSpec(100, 1000), rate) == codes
+
 
 class TestTradeSurplus:
     def test_midlife_gap(self):
@@ -295,3 +305,27 @@ class TestTradeSurplus:
             for low, high in ((0.01, 0.05), (0.05, 0.5), (0.2, 0.2)):
                 s = trade_surplus(ASSET, age, DiscountRate(low), DiscountRate(high))
                 assert s >= -1e-12
+
+    @pytest.mark.parametrize("rates", [(R20, DiscountRate(0.05)), (DiscountRate(0), R20),
+                                       (R20, DiscountRate(0))], ids=["closed", "line-seller", "line-buyer"])
+    @pytest.mark.parametrize("age", [0, -0.0, 2.5, 10])
+    def test_valid_age_runs_in_one_frame(self, entered, rates, age):
+        # no intrinsic_value call, no Valuation: both values are computed in place
+        assert entered(trade_surplus, ASSET, age, *rates) == [trade_surplus.__code__]
+
+    @pytest.mark.parametrize("age", [math.nan, math.inf, -math.inf, -1e-300, 11])
+    def test_bad_age_enters_the_age_check(self, entered, age):
+        codes = entered(trade_surplus, ASSET, age, DiscountRate(0.05), R20)
+        assert codes[:2] == [trade_surplus.__code__, check_age.__code__]
+
+    @pytest.mark.parametrize("age", [math.nan, math.inf, -math.inf, -1e-300, -1, 11, 1e308,
+                                     math.nextafter(10, math.inf)])
+    def test_bad_age_raises_the_fault_of_two_valuations(self, age):
+        def fault(call):
+            with pytest.raises(InvalidInput) as exc:
+                call()
+            return type(exc.value), exc.value.field, str(exc.value)
+
+        seller, buyer = DiscountRate(0.05), R20
+        assert fault(lambda: trade_surplus(ASSET, age, seller, buyer)) == fault(
+            lambda: intrinsic_value(ASSET, buyer, age).amount - intrinsic_value(ASSET, seller, age).amount)
