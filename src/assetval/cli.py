@@ -103,7 +103,7 @@ def _write_json(write, obj, pad: str = "\n") -> None:
     ints and floats only) in one piece from its items' reprs; a callable (a
     batch entry, a schedule, a money list) returns its own text given pad;
     a str, float or int (payloads hold no other scalar) as json.dumps writes it.
-    Each text over 4096 characters goes to write through _write_long."""
+    Each of these leaves reaches write as one text."""
     inner = pad + "  "
     if isinstance(obj, dict):
         opener, closer, items = "{", "}", ((f"{_json_str(k)}: ", v) for k, v in obj.items())
@@ -116,13 +116,9 @@ def _write_json(write, obj, pad: str = "\n") -> None:
             text = obj(pad)
         elif isinstance(obj, str):
             text = _json_str(obj)
-        else:  # a float or int, never long
-            write(repr(obj))
-            return
-        if len(text) > 4096:
-            _write_long(write, text)
-        else:
-            write(text)
+        else:  # a float or int
+            text = repr(obj)
+        write(text)
         return
     lead = opener + inner
     for key, value in items:
@@ -143,24 +139,11 @@ def _emit_json(out, command: str, payload: dict, deterministic: bool) -> None:
     out.write("\n")
 
 
-def _write_long(write, text: str) -> None:
-    """Pass text to write in pieces of at most 4096 characters, all ASCII here.
-
-    A pipe takes a write of up to PIPE_BUF (4096 bytes on Linux) whole or
-    not at all. An unbuffered stdout (python -u, PYTHONUNBUFFERED) hands
-    each write to the pipe as it is and ignores a short count, so a larger
-    write that meets a reader closing would report success for part of its
-    text; a piece of this size fails with BrokenPipeError instead.
-    """
-    for start in range(0, len(text), 4096):
-        write(text[start:start + 4096])
-
-
 def _emit_csv(out, header: list[str], body: str) -> None:
     import csv
 
     csv.writer(out, lineterminator="\n").writerow(header)
-    _write_long(out.write, body)
+    out.write(body)
 
 
 def _emit_table(out, header: list[str], body: str) -> None:
@@ -169,7 +152,7 @@ def _emit_table(out, header: list[str], body: str) -> None:
     widths = [max(len(h), *map(len, cells[i::k])) for i, h in enumerate(header)]
     out.write("  ".join(map(str.ljust, header, widths)).rstrip() + "\n")
     line = "  ".join(["%%%ds" % w for w in widths]) + "\n"
-    _write_long(out.write, line * (len(cells) // k) % tuple(cells))
+    out.write(line * (len(cells) // k) % tuple(cells))
 
 
 def _fill(template: str, cells: Iterable) -> str:
@@ -209,11 +192,12 @@ def _render(out, args, command: str, header: list[str], lines: str, cells: Itera
 _SURPLUS_ZEROS = r"0(?:00(?<=\.\d000)|0(?<=\.\d[1-9]00)|(?<=\.\d\d[1-9]0))(?=[,\n])"
 
 
-def _json_money(template: str, cells: Sequence, exact: bool) -> str:
-    """template % cells, each "%.4f" cell as repr(_money(x)) writes it. exact says that no
-    money cell reaches 1e11: below it, "%.4f" % x has at most 15 significant digits, so it
-    is the decimal nearest round(x, 4), which repr prints with its trailing zeros cut."""
-    if not exact:  # %r of each cell; "%d" prints a rounded period as itself
+def _json_money(template: str, cells: Sequence, cost: float) -> str:
+    """template % cells, each "%.4f" cell as repr(_money(x)) writes it. No money cell
+    exceeds cost by more than a few ulps, so under the cost guard below none reaches
+    1e11; there "%.4f" % x has at most 15 significant digits, so it is the decimal
+    nearest round(x, 4), which repr prints with its trailing zeros cut."""
+    if cost >= 5e10:  # %r of each cell; "%d" prints a rounded period as itself
         return template.replace("%.4f", "%r") % tuple(map(_money, cells))
     return re.sub(_SURPLUS_ZEROS, "", _fill(template, cells))
 
@@ -226,15 +210,17 @@ def _item(row: str, pad: str) -> str:
     return "," + inner + row.replace("\n", inner)
 
 
-def _json_rows(row: str, cells: Sequence) -> Callable[[str], str]:
+def _json_list(row: str, n: int, pad: str) -> str:
+    """The text of a list of n > 0 items, each row, as _write_json writes it at pad."""
+    item = _item(row, pad)
+    return "[" + item[1:] + item * (n - 1) + pad + "]"
+
+
+def _json_rows(cells: Sequence, cost: float, row: str = "%.4f") -> Callable[[str], str]:
     """A list, never empty, as _write_json writes it at pad: each item is row
-    % its share of cells, with "%.4f" for each money cell. Money, all finite,
-    is written as _money rounds it."""
-    def text(pad: str) -> str:
-        item = _item(row, pad)
-        template = "[" + item[1:] + item * (len(cells) // row.count("%") - 1) + pad + "]"
-        return _json_money(template, cells, max(map(abs, cells)) < 1e11)
-    return text
+    % its share of cells, with "%.4f" for each money cell. Money, all finite
+    and within cost, is written as _money rounds it."""
+    return lambda pad: _json_money(_json_list(row, len(cells) // row.count("%"), pad), cells, cost)
 
 
 _ROW = '{\n  "period": %d,\n  "expense": %.4f,\n  "book_value": %.4f\n}'  # a schedule row
@@ -258,11 +244,10 @@ def _row_cells(rows: Sequence[tuple[float, float]]) -> list:
 
 def _batch_json(rec_id: str, cost: float, age: float, value: float, rows: Sequence, pad: str) -> str:
     """A batch entry as _write_json writes its dict of id, age, value (as _money
-    rounds it) and schedule (as _json_rows writes its _ROW items) at pad. No cell
-    exceeds cost by more than a few ulps, so below 5e10 none reaches 1e11."""
-    inner, item = pad + "  ", _item(_ROW, pad + "  ")
-    template = _item('"value": %.4f,\n"schedule": [', pad) + item[1:] + item * (len(rows) - 1)
-    money = _json_money(template + inner + "]" + pad + "}", (value, *_row_cells(rows)), cost < 5e10)
+    rounds it) and schedule (as _json_rows writes its _ROW items) at pad."""
+    inner = pad + "  "
+    template = _item('"value": %.4f,\n"schedule": ', pad) + _json_list(_ROW, len(rows), inner)
+    money = _json_money(template + pad + "}", (value, *_row_cells(rows)), cost)
     # the id and age go in after the cut, which would take zeros from an id such as "1.5000,"
     return "{" + inner + '"id": ' + _json_str(rec_id) + "," + inner + '"age": ' + repr(age) + money
 
@@ -324,7 +309,7 @@ def cmd_schedule(args, out) -> int:
     _render(out, args, "schedule", ["period", "expense", "book_value"], _CSV_ROW * len(rows), cells,
             lambda: {"method": method.value,
                      "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
-                     "rows": _json_rows(_ROW, cells),
+                     "rows": _json_rows(cells, asset.cost, _ROW),
                      # classical schedules do not use the rate
                      **({"rate": rate.rate} if method is Method.INTRINSIC else {})})
     return 0
@@ -342,7 +327,7 @@ def cmd_compare(args, out) -> int:
             chain.from_iterable(zip(periods, *books)),
             lambda: {"asset": {"cost": asset.cost, "lifetime": asset.lifetime},
                      "periods": list(periods),
-                     "book_values": {tok: _json_rows("%.4f", b) for tok, b in zip(tokens, books)},
+                     "book_values": {tok: _json_rows(b, asset.cost) for tok, b in zip(tokens, books)},
                      **({} if rate is None else {"rate": rate.rate})})
     return 0
 
@@ -360,7 +345,7 @@ def cmd_sweep(args, out) -> int:
             chain(chain.from_iterable(zip(ages, *values)), gaps),
             lambda: {"asset": {"cost": asset.cost, "lifetime": asset.lifetime}, "ages": list(ages),
                      "rates": [r.rate for r in rates],
-                     "values": {tok: _json_rows("%.4f", curve) for tok, curve in zip(tokens, values)},
+                     "values": {tok: _json_rows(v, asset.cost) for tok, v in zip(tokens, values)},
                      "chord_gap": {tok: _money(g) for tok, g in zip(tokens, gaps)}})
     return 0
 
@@ -500,11 +485,7 @@ def cmd_batch(args, out) -> int:
             sink.write("id,value,period,expense,book_value\n")
             try:
                 for rec_id, _, _, value, rows in entries:
-                    text = _schedule_csv(rec_id, value, rows)
-                    if len(text) > 4096:  # over about 100 rows
-                        _write_long(sink.write, text)
-                    else:
-                        sink.write(text)
+                    sink.write(_schedule_csv(rec_id, value, rows))
             except UnicodeEncodeError as exc:  # an id that the sink's encoding cannot hold
                 where = "--output" if fd is not None else "stdout"
                 hint = "" if fd is not None else " (--output writes UTF-8)"
@@ -593,11 +574,11 @@ class _Parser:
     plans = {name: {flag: _flag_plan(flag, options) for flag, options in {**COMMON, **flags}.items()}
              for name, (_, flags) in COMMANDS.items()}
 
-    def parse_args(self, args: Sequence[str] | None = None, namespace=None):
+    def parse_args(self, args: Sequence[str] | None = None):
         args = sys.argv[1:] if args is None else list(args)
-        values = self._exact(args) if args and namespace is None else None
+        values = self._exact(args) if args else None
         if values is None:
-            return _template().parse_args(args, namespace)
+            return _template().parse_args(args)
         return SimpleNamespace(**values)
 
     def _exact(self, args: list[str]) -> dict | None:
@@ -656,11 +637,19 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None, out: io.TextIOBase | None = None) -> int:
     out = out or sys.stdout
+    stdout = out is sys.stdout
     args = build_parser().parse_args(argv)
+    # An unbuffered stdout (python -u, PYTHONUNBUFFERED) is a text layer on a raw file,
+    # which reports a write that a closing pipe cut short as a success; a buffered
+    # writer on its fd writes the rest or raises BrokenPipeError. A buffered stdout
+    # stays as it is, since it may hold text that a second writer would overtake.
+    raw = stdout and isinstance(getattr(out, "buffer", None), io.RawIOBase)
     try:
-        # looked up at call time, so a wrapper set on the module takes effect
-        code = globals()[f"cmd_{args.command}"](args, out)
-        out.flush()
+        with open(out.fileno(), "w", encoding=out.encoding, errors=out.errors,
+                  closefd=False) if raw else nullcontext(out) as out:
+            # looked up at call time, so a wrapper set on the module takes effect
+            code = globals()[f"cmd_{args.command}"](args, out)
+            out.flush()
         return code
     except InvalidInput as exc:
         flag = "--life" if exc.field == "lifetime" else f"--{exc.field}"
@@ -669,7 +658,7 @@ def main(argv: list[str] | None = None, out: io.TextIOBase | None = None) -> int
     except BrokenPipeError:
         # The reader closed the pipe. Point stdout at devnull so that the
         # interpreter's final flush of what is left in its buffer stays quiet.
-        if out is sys.stdout:
+        if stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except Exception as exc:  # noqa: BLE001 - last-resort guard for exit code 1

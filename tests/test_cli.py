@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from decimal import Decimal
 from pathlib import Path
 
@@ -210,26 +211,6 @@ class TestSchedule:
         assert json.loads(out)["payload"]["rate"] == 0.0
         assert '"rate": 0.0' in out and "-0.0" not in out
 
-    def test_closed_pipe_exits_141_quietly(self):
-        # About 1.3 MB of CSV: more than a pipe buffers, so writing meets the closed pipe.
-        argv = ["schedule", "--cost", "100", "--life", "50000", "--rate", "0.0001",
-                "--method", "intrinsic", "--format", "csv"]
-        env = {**os.environ, "PYTHONPATH": str(Path(assetval.__file__).parents[1])}
-        with subprocess.Popen([sys.executable, "-m", "assetval.cli", *argv], env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-            assert proc.stdout.readline() == b"period,expense,book_value\n"
-            proc.stdout.close()
-            assert proc.wait(timeout=60) == 141
-            assert proc.stderr.read() == b""
-
-    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
-    def test_long_output_written_in_pipe_buf_pieces(self, fmt):
-        # A pipe takes at most PIPE_BUF (4096) bytes whole or not at all; an
-        # unbuffered stdout would drop the rest of a larger write at a closing
-        # reader and report success, where the test above wants exit 141.
-        argv = ["schedule", "--cost", "100", "--life", "5000", "--method", "sl", "--format", fmt,
-                "--deterministic"]
-        assert_written_in_pieces(argv, 10 * 4096)
 
 
 def test_row_cells_start_no_collection():
@@ -256,18 +237,67 @@ def test_row_cells_start_no_collection():
     assert during == 0
 
 
-def assert_written_in_pieces(argv, least):
-    """main(argv) writes what run(*argv) writes, more than least characters, in
-    writes of at most 4096 characters."""
-    class Pieces(io.StringIO):
-        def write(self, text):
-            sizes.append(len(text))
-            return super().write(text)
+def env_with(**changes):
+    """os.environ with assetval importable and each change made, None unsetting its variable."""
+    env = {**os.environ, "PYTHONPATH": str(Path(assetval.__file__).parents[1]), **changes}
+    return {k: v for k, v in env.items() if v is not None}
 
-    sizes, out = [], Pieces()
-    code = main(argv, out=out)
-    assert (code, out.getvalue()) == run(*argv)
-    assert len(out.getvalue()) > least and max(sizes) <= 4096
+
+# Three records of 3,000 rows each: some 290 KB of CSV and 1 MB of JSON.
+LONG_REGISTRY = "id,cost,lifetime,rate\n" + "".join(f"r{n},100,3000,0.01\n" for n in range(3))
+SCHEDULE = ["schedule", "--cost", "100", "--life", "20000", "--method", "sl", "--deterministic"]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    [*SCHEDULE, "--format", "csv"],
+    [*SCHEDULE, "--format", "table"],
+    [*SCHEDULE, "--format", "json"],
+    ["batch", "--input", "{registry}", "--format", "json", "--deterministic"],
+    ["batch", "--input", "{registry}", "--format", "csv"],
+], ids=["schedule-csv", "schedule-table", "schedule-json", "batch-json", "batch-csv"])
+def test_closed_pipe_exits_141_quietly(tmp_path, argv, unbuffered):
+    """A reader that closes the pipe after the first line and 128 KiB more, more
+    than a pipe buffers (64 KiB) before the end, leaves exit 141 and an empty
+    stderr. The last write is then blocked part way when the pipe closes: an
+    unbuffered stdout (PYTHONUNBUFFERED, python -u) would report it a success,
+    with exit 0, were it not for main's own writer."""
+    registry = tmp_path / "assets.csv"
+    registry.write_text(LONG_REGISTRY)
+    argv = [a.replace("{registry}", str(registry)) for a in argv]
+    code, text = run(*argv)
+    assert code == 0 and len(text) > 4 * 64 * 1024
+    with subprocess.Popen([sys.executable, "-m", "assetval.cli", *argv],
+                          env=env_with(PYTHONUNBUFFERED=unbuffered),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == text[:text.index("\n") + 1].encode()
+        proc.stdout.read(128 * 1024)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+
+def test_unbuffered_stdout_gets_main_output_after_earlier_text(tmp_path):
+    """With sys.stdout unbuffered, as python -u makes it (a text layer on a raw
+    file, writing through), main writes through a writer of its own on stdout's
+    fd: its bytes follow text written to sys.stdout before it, and the fd and
+    sys.stdout stay open and writable."""
+    argv = [*SCHEDULE, "--format", "json"]
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    try:
+        stdout = io.TextIOWrapper(io.FileIO(fd, "w", closefd=False), encoding="utf-8",
+                                  write_through=True)
+        with stdout, redirect_stdout(stdout):
+            stdout.write("before\n")
+            code = main(argv)
+            gc.collect()  # finalizes any writer main left open
+            stdout.write("after\n")
+            assert not stdout.closed
+        os.write(fd, b"end\n")
+    finally:
+        os.close(fd)
+    assert (code, path.read_bytes()) == (0, b"before\n" + run(*argv)[1].encode() + b"after\nend\n")
 
 
 class TestCompare:
@@ -469,15 +499,6 @@ class TestBatch:
         assert [e["id"] for e in payload["entries"]] == ["good"]
         assert payload["errors"][0]["id"] == "bad"
         assert payload["errors"][0]["reason"]
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_long_entries_to_stdout_written_in_pipe_buf_pieces(self, tmp_path, fmt):
-        # a record of 500 rows is one string of some 35,000 characters in JSON and
-        # 15,000 in CSV; the short one between them stays one write
-        path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\nlong,100,500,0.001,\n"
-                                             "short,100,3,0.2,1\nlonger,1e6,600,0,\n")
-        assert_written_in_pieces(["batch", "--input", path, "--format", fmt, "--deterministic"],
-                                 3 * 4096)
 
     def test_header_only_registry(self, tmp_path):
         path = self.write_registry(tmp_path, "id,cost,lifetime,rate,age\n")
@@ -741,13 +762,12 @@ class TestBatch:
             assert f'"{key}": {round(x, 4)!r}{end}' in out
 
     @staticmethod
-    def run_in_c_locale(tmp_path, *argv):
+    def run_in_c_locale(tmp_path, *argv, **env):
         """batch over a registry whose id is caf\u00e9, in a process whose locale
-        is C, not in UTF-8 mode: stdout's encoding is ASCII."""
+        is C, not in UTF-8 mode: stdout's encoding is ASCII unless env sets it."""
         path = tmp_path / "assets.csv"
         path.write_bytes("id,cost,lifetime,rate\ncaf\u00e9,100,2,0.2\n".encode())
-        env = {**os.environ, "PYTHONPATH": str(Path(assetval.__file__).parents[1]),
-               "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        env = env_with(LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", **env)
         return subprocess.run([sys.executable, "-m", "assetval.cli", "batch", "--input", str(path),
                                *argv], env=env, capture_output=True, timeout=60)
 
@@ -758,11 +778,19 @@ class TestBatch:
         _, rows = parse_csv(report.read_bytes().decode("utf-8"))
         assert [row[:3] for row in rows] == [["caf\u00e9", "100.0000", n] for n in "12"]
 
-    def test_stdout_that_cannot_encode_an_id_exit_2(self, tmp_path):
-        proc = self.run_in_c_locale(tmp_path, "--format", "csv")
+    # PYTHONUNBUFFERED too: main's own writer on stdout's fd keeps its encoding and errors
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_stdout_that_cannot_encode_an_id_exit_2(self, tmp_path, unbuffered):
+        proc = self.run_in_c_locale(tmp_path, "--format", "csv", PYTHONUNBUFFERED=unbuffered)
         assert (proc.returncode, proc.stdout) == (2, b"id,value,period,expense,book_value\n")
         assert proc.stderr == (b"error: stdout: cannot write '\\xe9' in its encoding, ascii"
                                b" (--output writes UTF-8)\n")
+
+    def test_unbuffered_stdout_keeps_its_encoding(self, tmp_path):
+        proc = self.run_in_c_locale(tmp_path, "--format", "csv", PYTHONUNBUFFERED="1",
+                                    PYTHONIOENCODING="utf-8")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode("utf-8").splitlines()[1].startswith("caf\u00e9,100.0000,1,")
 
     @pytest.mark.parametrize("name, text", [
         ("assets.csv", "id,cost,lifetime,rate,age\nf,100,10,0.2,5\n"),

@@ -142,6 +142,9 @@ VALID = {
                             "--rate", "1000", "--method", "intrinsic"],
     "schedule-above-1e11": ["schedule", "--cost", "822887425440.27", "--life", "3",
                             "--rate", "1000", "--method", "intrinsic"],
+    # cells between the guard's cost of 5e10 and 1e11, which JSON writes as repr(round(x, 4))
+    "schedule-between-guards": ["schedule", "--cost", "6e10", "--life", "3", "--rate", "1000",
+                                "--method", "intrinsic"],
     "compare": ["compare", *ASSET, "--rate", "0.2", "--methods", "intrinsic,sl,ddb,syd"],
     "compare-rate0": ["compare", *ASSET, "--rate", "0", "--methods", "syd, intrinsic"],
     "compare-classic": ["compare", *ASSET, "--methods", "ddb,sl"],
@@ -150,12 +153,15 @@ VALID = {
     # book values above 1e11, which JSON writes as repr(round(x, 4))
     "compare-above-1e11": ["compare", "--cost", "822887425440.27", "--life", "3",
                            "--rate", "1000", "--methods", "intrinsic,sl,ddb,syd"],
+    "compare-between-guards": ["compare", "--cost", "6e10", "--life", "3", "--rate", "1000",
+                               "--methods", "intrinsic,sl,ddb,syd"],
     "sweep": ["sweep", *ASSET, "--rates", "0.05,0.2"],
     "sweep-rate0-percent": ["sweep", *ASSET, "--rates", "0,5%, 20%"],
     "sweep-life1": ["sweep", "--cost", "100", "--life", "1", "--rates", "0.05,0.2"],
     # values just below 1e11, which JSON writes from "%.4f" text, and above it
     "sweep-below-1e11": ["sweep", "--cost", "99999999999.9999", "--life", "3", "--rates", "1000"],
     "sweep-above-1e11": ["sweep", "--cost", "822887425440.27", "--life", "3", "--rates", "1000"],
+    "sweep-between-guards": ["sweep", "--cost", "6e10", "--life", "3", "--rates", "1000"],
     "surplus": ["surplus", *ASSET, "--age", "5", "--seller-rate", "0.05", "--buyer-rate", "0.2"],
     "surplus-rate0-percent": ["surplus", *ASSET, "--age", "5", "--seller-rate", "0",
                               "--buyer-rate", "20%"],

@@ -496,8 +496,9 @@ finite_doubles = (
 )
 
 
-# Doubles on both sides of 1e11, below which the schedule writer prints "%.4f"
-# text in place of repr(round(x, 4)), and ties of 4-decimal rounding up to 1e15.
+# Doubles on both sides of 1e11 and of 5e10, below which (as the cost) the JSON
+# money writer prints "%.4f" text in place of repr(round(x, 4)), and ties of
+# 4-decimal rounding up to 1e15.
 near_cut = st.floats(-2e11, 2e11) | st.integers(-(10**19), 10**19).map(lambda k: (k + 0.5) / 10_000)
 money_doubles = finite_doubles | near_cut
 
@@ -509,13 +510,19 @@ money_doubles = finite_doubles | near_cut
 @example([(1e16, -1e16), (-1.5e300, 0.00005)], [True, False])
 @example([(99999999999.99995, -0.00004), (0.00005, -99999999999.99995)], [True])
 @example([(1e11, 0.5)], [])
+@example([(math.nextafter(1e11, 0), -0.00004), (0.00005, math.nextafter(1e11, math.inf))], [])
+@example([(5e10, 0.5)], [True])
+@example([(math.nextafter(5e10, 0), -0.00004)], [])
+@example([(0.00005, -math.nextafter(5e10, math.inf))], [False])
 # one cell above the cut, where "%.4f" would print 703275009772.6639
 @example([(-0.00004, 0.00005), (703275009772.664, 1.25)], [])
 def test_schedule_rows_written_as_json_module_writes_their_dicts(rows, nesting):
     """A schedule's rows as cmd_schedule hands them to _write_json are, at any
     pad, json.dumps(indent=2) of the rows' dict form; nesting puts them under
-    dicts (True) and iterators (False)."""
-    obj = _json_rows(_ROW, tuple(_row_cells(rows)))
+    dicts (True) and iterators (False). The largest cell stands for the cost
+    that bounds them (shape only: the bound holds for real costs below)."""
+    cells = tuple(_row_cells(rows))
+    obj = _json_rows(cells, max(map(abs, cells)), _ROW)
     want = [{"period": n, "expense": _money(e), "book_value": _money(b)}
             for n, (e, b) in enumerate(rows, 1)]
     for in_dict in nesting:
@@ -526,14 +533,19 @@ def test_schedule_rows_written_as_json_module_writes_their_dicts(rows, nesting):
 @SETTINGS
 @given(st.lists(money_doubles, min_size=1, max_size=8), st.lists(st.booleans(), max_size=4))
 @example([1e11], [])
+@example([math.nextafter(1e11, 0), -math.nextafter(1e11, math.inf)], [])
 @example([99999999999.99995, -0.00004], [True])
 @example([-0.00004, 0.00005, -99999999999.99995], [False, True])
+@example([5e10, 0.00005], [])
+@example([-0.00004, math.nextafter(5e10, 0)], [True])
+@example([math.nextafter(5e10, math.inf)], [False])
 @example([-0.00004, 703275009772.664], [])  # "%.4f" would print 703275009772.6639
 def test_money_lists_written_as_json_module_writes_them(values, nesting):
     """A money list (compare's book values, sweep's values) at any pad is
     json.dumps(indent=2) of its _money values, under dicts (True) and
-    iterators (False)."""
-    obj, want = _json_rows("%.4f", tuple(values)), [_money(v) for v in values]
+    iterators (False). The largest value stands for the cost that bounds them
+    (shape only: the bound holds for real costs below)."""
+    obj, want = _json_rows(tuple(values), max(map(abs, values))), [_money(v) for v in values]
     for in_dict in nesting:
         obj, want = ({"values": obj}, {"values": want}) if in_dict else (iter([obj]), [want])
     assert written(obj) == json.dumps(want, indent=2)
@@ -825,15 +837,18 @@ def test_batch_csv_cells_match_json_payload(records):
 @example((AssetSpec(1.7e308, 1), DiscountRate(0.0)), [0.0, 0.3])
 @example((AssetSpec(2e11, 1), DiscountRate(0.1)), [0.25])  # its expense is cost plus an ulp
 @example((AssetSpec(1, 2000.0), DiscountRate(2.0**-53 / 2000 / 2)), [1.0])
+@example((AssetSpec(6e10, 3), DiscountRate(1000.0)), [0.5])
 def test_intrinsic_money_within_cost(inputs, fractions):
-    """Every intrinsic value, expense and book value lies within cost * (1 +
-    2^-40) in magnitude, on the closed form and on the straight line. The
-    batch JSON writer relies on it: below a cost of 5e10, no money cell of a
-    record reaches 1e11."""
+    """Every intrinsic value, every expense and book value of each method's
+    schedule and every value of a rate sweep lies within cost * (1 + 2^-40) in
+    magnitude, on the closed form and on the straight line. The JSON money
+    writer relies on it: below a cost of 5e10, no money cell that schedule,
+    compare, sweep or batch writes reaches 1e11."""
     asset, rate = inputs
     life = asset.lifetime
     values = [intrinsic_value(asset, rate, min(f * life, life)).amount for f in fractions]
-    cells = [*values, *(x for row in build_schedule(asset, Method.INTRINSIC, rate).rows for x in row)]
+    rows = [x for method in Method for row in build_schedule(asset, method, rate).rows for x in row]
+    cells = [*values, *rows, *rate_sweep(asset, [rate]).values[0]]
     assert all(abs(x) <= asset.cost * (1 + 2**-40) for x in cells)
 
 
