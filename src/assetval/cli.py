@@ -111,7 +111,7 @@ def _write_json(write, obj, pad: str = "\n") -> None:
         opener, closer, items = "[", "]", (("", v) for v in obj)
     else:
         if isinstance(obj, list):
-            text = "[" + inner + f",{inner}".join(map(repr, obj)) + pad + "]" if obj else "[]"
+            text = _json_list("%r", len(obj), pad) % tuple(obj) if obj else "[]"
         elif callable(obj):
             text = obj(pad)
         elif isinstance(obj, str):
@@ -140,9 +140,7 @@ def _emit_json(out, command: str, payload: dict, deterministic: bool) -> None:
 
 
 def _emit_csv(out, header: list[str], body: str) -> None:
-    import csv
-
-    csv.writer(out, lineterminator="\n").writerow(header)
+    out.write(_csv_line()(header)[:-2] + "\n")
     out.write(body)
 
 
@@ -254,8 +252,8 @@ def _batch_json(rec_id: str, cost: float, age: float, value: float, rows: Sequen
 
 @functools.cache
 def _csv_line() -> Callable[[Iterable], str]:
-    """A csv writer's writerow that returns the row's text, as its file's write returns
-    it; with a "\r\n" terminator, every Python version quotes a cell holding CR or LF."""
+    """The writerow of every CSV line's writer (headers, batch prefixes), returning the row's
+    text; with a "\r\n" terminator, every Python version quotes a cell holding CR or LF."""
     import csv
 
     return csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow

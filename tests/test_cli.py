@@ -158,6 +158,22 @@ class TestSchedule:
             slack = 2 * Decimal(math.ulp(books[n - 1])) + Decimal("0.0001")
             assert abs(books[n - 1] - 10**10 - books[n]) <= slack, n
 
+    @pytest.mark.parametrize("method", [
+        ("intrinsic", "--rate", "0"),
+        pytest.param(("sl",), marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="a classical expense is the difference of two books, so it keeps their "
+                   "rounding error, up to an ulp of the cost (ROADMAP item 8)")),
+    ], ids=["intrinsic-rate-0", "sl"])
+    def test_straight_line_expense_is_cost_over_life_at_every_period(self, method):
+        """Every straight-line expense is -cost / life. The rate-0 intrinsic line
+        prints it; straight line prints 2,596 of these 3,000 cells as
+        -3333333333.3320, -3333333333.3359 and the like."""
+        code, out = run("schedule", "--cost", "1e13", "--life", "3000", "--format", "csv",
+                        "--method", *method)
+        assert code == 0
+        assert [r[1] for r in parse_csv(out)[1]] == ["-3333333333.3333"] * 3000
+
     def test_ddb_residual(self):
         code, out = run(
             "schedule", "--cost", "100", "--life", "10", "--method", "ddb", "--format", "csv"
@@ -386,6 +402,18 @@ class TestSweep:
             list(values) for values in zip(*(payload["values"][t] for t in ("0.1", "0.2", "0.1")))]
         assert rows[-1][1] == rows[-1][3] != rows[-1][2]
         assert run(*argv)[1].splitlines()[0].split() == ["age", "0.1", "0.2", "0.1"]
+
+    @pytest.mark.parametrize("token", ["5\r%", "5\n%", "5\r\n%"], ids=["cr", "lf", "crlf"])
+    def test_csv_header_quotes_a_rate_token_holding_cr_or_lf(self, token):
+        """The header repeats each token as typed, quoted as a batch id is: a
+        "\\n"-terminated csv writer left a lone CR bare on Python 3.11, so the
+        header read back as two rows."""
+        code, out = run("sweep", "--cost", "100", "--life", "2", "--rates", f"{token},0.1",
+                        "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert rows[0] == ["age", token, "0.1"]
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2", "chord_gap"]
 
     def test_negative_rate_rejected(self, capsys):
         code, _ = run("sweep", "--cost", "100", "--life", "10", "--rates", "-0.1")

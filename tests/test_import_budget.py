@@ -4,9 +4,11 @@ A shell command is one process, which pays for every module the package
 imports before it values anything. `dataclasses` (with `inspect`),
 `argparse` and `datetime` are not needed by a well-formed command: argparse
 is imported only for an argv that leaves the exact parse path, and datetime
-only for a JSON run that is not --deterministic. This runs the commands in a
-fresh interpreter and compares its modules with those loaded before the
-package was imported, since what `site` loads differs between machines.
+only for a JSON run that is not --deterministic. `csv` is imported only where
+a CSV is read or written, so table and JSON commands leave it out. This
+runs the commands in a fresh interpreter and compares its modules with
+those loaded before the package was imported, since what `site` loads
+differs between machines.
 """
 
 import json
@@ -53,3 +55,20 @@ def test_an_unusual_argv_and_a_timestamp_import_what_they_use():
     added = added_modules([["value", "--cost=100", "--life", "10", "--rate", "0.2"],
                            ["value", "--cost", "100", "--life", "10", "--rate", "0.2", "--format", "json"]])
     assert {"argparse", "datetime"} <= added
+
+
+# Each single-asset command's table and JSON forms: none reads or writes a CSV.
+TABLE_AND_JSON = [[*argv, "--format", fmt, "--deterministic"] for fmt in ("table", "json") for argv in (
+    ["value", "--cost", "100", "--life", "10", "--rate", "0.2", "--detail"],
+    ["schedule", "--cost", "100", "--life", "10", "--method", "sl"],
+    ["compare", "--cost", "100", "--life", "10", "--methods", "sl,intrinsic", "--rate", "0.2"],
+    ["sweep", "--cost", "100", "--life", "10", "--rates", "0.05,20%"],
+    ["surplus", "--cost", "100", "--life", "10", "--age", "5", "--seller-rate", "0.05",
+     "--buyer-rate", "0.2"],
+)]
+
+
+def test_table_and_json_commands_do_not_import_csv():
+    assert "csv" not in added_modules(TABLE_AND_JSON)
+    assert "csv" in added_modules([["sweep", "--cost", "100", "--life", "10", "--rates", "0.05",
+                                    "--format", "csv"]])
