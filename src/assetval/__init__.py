@@ -7,22 +7,20 @@ from .classic import (
     sum_of_years_book_value,
 )
 from .core import (
+    AgeOrderViolation,
+    AgeOutOfRange,
     AssetSpec,
     DiscountRate,
+    InvalidInput,
+    MissingRate,
+    NonIntegerPeriod,
     Valuation,
+    ZeroRateDivergence,
     delayed_present_cost,
     intrinsic_depreciation,
     intrinsic_value,
     perpetuity_oracle,
     present_cost,
-)
-from .errors import (
-    AgeOrderViolation,
-    AgeOutOfRange,
-    InvalidInput,
-    MissingRate,
-    NonIntegerPeriod,
-    ZeroRateDivergence,
 )
 from .schedule import (
     ComparisonReport,

@@ -16,8 +16,7 @@ import math
 from enum import Enum
 from math import exp, log1p
 
-from .core import AssetSpec, check_age
-from .errors import NonIntegerPeriod
+from .core import AssetSpec, NonIntegerPeriod, check_age
 
 
 class Method(Enum):

@@ -4,9 +4,10 @@ Subcommands: value, schedule, compare, sweep, batch, surplus. Every
 subcommand takes --format {table,csv,json} and --deterministic (omits the
 timestamp from JSON envelopes so identical invocations are byte-identical).
 
-Exit codes: 0 success, 1 internal error, 2 input validation failure,
-3 batch run with at least one failed record, 141 stdout closed by its
-reader (128 + SIGPIPE, as the shell reports for a tool killed by it).
+Exit codes: 0 success, 1 internal error, 2 input validation failure or
+text that the output's encoding cannot hold, 3 batch run with at least one
+failed record, 141 stdout closed by its reader (128 + SIGPIPE, as the shell
+reports for a tool killed by it).
 
 Money is rendered with exactly 4 decimal places (half-even). CSV output
 uses '.' decimals, ',' separators, '\\n' line endings, and always carries
@@ -32,8 +33,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .classic import Method
-from .core import AssetSpec, DiscountRate, delayed_present_cost, intrinsic_value, present_cost
-from .errors import InvalidInput
+from .core import AssetSpec, DiscountRate, InvalidInput, delayed_present_cost, intrinsic_value, present_cost
 # chord_gap and trade_surplus are not called here; the benchmark's tracer patches them by name
 from .schedule import MAX_PERIODS, build_schedule, chord_gap, compare_methods, rate_sweep, trade_surplus
 
@@ -62,7 +62,7 @@ def _parse_number(token: str, flag: str, typed: str | None = None) -> float:
     it, if token is a part of it."""
     try:
         value = float(token)
-    except (TypeError, ValueError):
+    except ValueError:
         raise CliError(f"{flag}: cannot parse number {token if typed is None else typed!r}") from None
     if not math.isfinite(value):
         raise CliError(f"{flag}: must be finite, got {token if typed is None else typed!r}")
@@ -71,7 +71,7 @@ def _parse_number(token: str, flag: str, typed: str | None = None) -> float:
 
 def parse_rate(token: str, flag: str) -> DiscountRate:
     """Accept a fraction ('0.2') or a percentage ('20%')."""
-    text = str(token).strip()
+    text = token.strip()
     scale = 1.0
     if text.endswith("%"):
         text = text[:-1].strip()
@@ -378,13 +378,14 @@ def _load_registry(path: Path) -> list[dict]:
 
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [f for f in REGISTRY_FIELDS if f not in header]
-            if missing:
-                raise CliError(
-                    f"--input: registry header missing column(s) {', '.join(missing)}"
-                )
-            return list(reader)
+            try:
+                header = reader.fieldnames or []
+                missing = [f for f in REGISTRY_FIELDS if f not in header]
+                if missing:
+                    raise CliError(f"--input: registry header missing column(s) {', '.join(missing)}")
+                return list(reader)
+            except csv.Error as exc:  # a cell over csv.field_size_limit(): cmd_batch's parse error
+                raise ValueError(str(exc)) from None
     if suffix == ".json":
         records = json.loads(path.read_text(encoding="utf-8-sig"))
         if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
@@ -421,7 +422,6 @@ def _batch_record(record: dict) -> tuple[float, float, float, tuple[tuple[float,
 def cmd_batch(args, out) -> int:
     """Each registry record's value and schedule, or its error. JSON writes each
     entry as its record is computed, as one string (_batch_json) after its separator."""
-    import csv  # for csv.Error, which a CSV registry's cell over the size limit raises
     from pathlib import Path
 
     fd = created = records = None
@@ -445,7 +445,7 @@ def cmd_batch(args, out) -> int:
     except (OSError, UnicodeEncodeError) as exc:
         raise CliError(f"--input: cannot read {args.input!r} "
                        f"({getattr(exc, 'strerror', None) or exc})") from None
-    except (ValueError, csv.Error, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         # not UTF-8, not JSON, a CSV cell over csv.field_size_limit(), or JSON nested too deep
         raise CliError(f"--input: cannot parse {args.input!r} ({exc})") from None
     finally:
@@ -481,14 +481,8 @@ def cmd_batch(args, out) -> int:
         # rows, so the list is complete by the time it is written.
         if args.format == "csv":
             sink.write("id,value,period,expense,book_value\n")
-            try:
-                for rec_id, _, _, value, rows in entries:
-                    sink.write(_schedule_csv(rec_id, value, rows))
-            except UnicodeEncodeError as exc:  # an id that the sink's encoding cannot hold
-                where = "--output" if fd is not None else "stdout"
-                hint = "" if fd is not None else " (--output writes UTF-8)"
-                raise CliError(f"{where}: cannot write {exc.object[exc.start:exc.end]!r} "
-                               f"in its encoding, {exc.encoding}{hint}") from None
+            for rec_id, _, _, value, rows in entries:
+                sink.write(_schedule_csv(rec_id, value, rows))
         else:  # a batch report has no table layout: table writes JSON
             entries = (functools.partial(_batch_json, *entry) for entry in entries)
             # errors holds dicts, which _write_json takes only as an iterator
@@ -652,6 +646,12 @@ def main(argv: list[str] | None = None, out: io.TextIOBase | None = None) -> int
     except InvalidInput as exc:
         flag = "--life" if exc.field == "lifetime" else f"--{exc.field}"
         print(f"error: {flag}: {exc}" if exc.field else f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:  # text that the sink's encoding cannot hold
+        output = getattr(args, "output", None)  # batch's; its file is UTF-8, so only a surrogate fails there
+        hint = " (--output writes UTF-8)" if hasattr(args, "output") and not output else ""
+        print(f"error: {'--output' if output else 'stdout'}: cannot write "
+              f"{exc.object[exc.start:exc.end]!r} in its encoding, {exc.encoding}{hint}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader closed the pipe. Point stdout at devnull so that the

@@ -17,13 +17,14 @@ from .classic import (
 from .core import (
     AssetSpec,
     DiscountRate,
+    InvalidInput,
+    MissingRate,
     _chord_gap,
     _trade_surplus,
     _value_curve,
     intrinsic_depreciation,
     intrinsic_value,  # not called here; the benchmark's tracer patches it by name
 )
-from .errors import InvalidInput, MissingRate
 
 
 class ScheduleRow(NamedTuple):

@@ -415,6 +415,28 @@ class TestSweep:
         assert rows[0] == ["age", token, "0.1"]
         assert [row[0] for row in rows[1:]] == ["0", "1", "2", "chord_gap"]
 
+    @staticmethod
+    def run_to_ascii_stdout(fmt):
+        """sweep over the rate token '\uff15%' (a fullwidth 5, which float() reads)
+        in a process whose stdout is ASCII; UTF-8 mode decodes the token from argv
+        under any locale."""
+        argv = ["sweep", "--cost", "100", "--life", "1", "--rates", "\uff15%".encode(),
+                "--format", fmt, "--deterministic"]
+        return subprocess.run([sys.executable, "-m", "assetval.cli", *argv], capture_output=True,
+                              env=env_with(PYTHONIOENCODING="ascii", PYTHONUTF8="1"), timeout=60)
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_header_the_stdout_cannot_encode_exit_2(self, fmt):
+        """CSV and table repeat each rate token in the header."""
+        proc = self.run_to_ascii_stdout(fmt)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: stdout: cannot write '\\uff15' in its encoding, ascii\n"
+
+    def test_json_escapes_a_token_the_stdout_cannot_encode(self):
+        proc = self.run_to_ascii_stdout("json")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert b'"\\uff15%": [' in proc.stdout
+
     def test_negative_rate_rejected(self, capsys):
         code, _ = run("sweep", "--cost", "100", "--life", "10", "--rates", "-0.1")
         assert code == 2
@@ -595,6 +617,14 @@ class TestBatch:
         path = self.write_registry(tmp_path, text, name=name)
         assert run("batch", "--input", path) == (2, "")
         assert capsys.readouterr().err == f"error: --input: {message}\n"
+
+    def test_csv_cell_over_the_size_limit_exit_2(self, tmp_path, capsys):
+        text = f"id,cost,lifetime,rate\na,100,10,{'1' * (csv.field_size_limit() + 1)}\n"
+        path = self.write_registry(tmp_path, text)
+        with pytest.raises(csv.Error) as reason:
+            list(csv.reader(io.StringIO(text)))
+        assert run("batch", "--input", path) == (2, "")
+        assert capsys.readouterr().err == f"error: --input: cannot parse {path!r} ({reason.value})\n"
 
     def test_path_with_nul_byte_exit_2(self, capsys):
         assert run("batch", "--input", "assets\x00.csv") == (2, "")

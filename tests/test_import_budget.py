@@ -68,7 +68,15 @@ TABLE_AND_JSON = [[*argv, "--format", fmt, "--deterministic"] for fmt in ("table
 )]
 
 
-def test_table_and_json_commands_do_not_import_csv():
-    assert "csv" not in added_modules(TABLE_AND_JSON)
-    assert "csv" in added_modules([["sweep", "--cost", "100", "--life", "10", "--rates", "0.05",
-                                    "--format", "csv"]])
+def test_table_and_json_commands_do_not_import_csv(tmp_path):
+    """Nor does a batch over a JSON registry, whose table form writes JSON."""
+    registry = tmp_path / "assets.json"
+    registry.write_text('[{"id": "a", "cost": 100, "lifetime": 10, "rate": 0.2}]')
+    batches = [["batch", "--input", str(registry), "--format", fmt, "--deterministic"]
+               for fmt in ("table", "json")]
+    assert "csv" not in added_modules(TABLE_AND_JSON + batches)
+    registry = registry.with_suffix(".csv")
+    registry.write_text("id,cost,lifetime,rate\na,100,10,0.2\n")
+    for argv in (["sweep", "--cost", "100", "--life", "10", "--rates", "0.05", "--format", "csv"],
+                 ["batch", "--input", str(registry), "--format", "json", "--deterministic"]):
+        assert "csv" in added_modules([argv]), argv
