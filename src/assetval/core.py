@@ -156,7 +156,7 @@ _VALUATION = partial(tuple.__new__, Valuation)  # (amount,) -> Valuation with no
 
 def check_age(asset: AssetSpec, age: float, *, name: str = "age") -> None:
     """Validate 0 <= age <= lifetime."""
-    if not math.isfinite(age) or age < 0 or age > asset.lifetime:
+    if not 0 <= age <= asset.lifetime:  # NaN and +-inf fail here too
         raise AgeOutOfRange(
             f"{name} must lie in [0, {asset.lifetime}], got {age!r}", field=name
         )
@@ -178,9 +178,9 @@ _STRAIGHT_LINE_BELOW = 2.0**-53
 def _chain_cost(asset: AssetSpec, rate: DiscountRate, start: float, name: str) -> float:
     """cost * exp(-start*g) / E: the chain first bought `start` periods on, if it fits a double."""
     r = _require_positive_rate(rate)
-    g = math.log1p(r)
-    e = math.expm1(-asset.lifetime * g)
-    amount = asset.cost * math.exp(-start * g) / e if e else -math.inf
+    g = log1p(r)
+    e = expm1(-asset.lifetime * g)
+    amount = asset.cost * exp(-start * g) / e if e else -math.inf
     if not math.isfinite(amount):
         raise InvalidInput(f"{name} does not fit a double at rate {r!r} (its size is "
                            "cost / (1 - (1+rate)^-lifetime))", field="rate")
@@ -210,10 +210,10 @@ def delayed_present_cost(asset: AssetSpec, rate: DiscountRate, age: float) -> Va
 def _value_curve(asset: AssetSpec, rate: DiscountRate, ages: Iterable[float]) -> list[float]:
     """V at each of ages, unchecked: intrinsic_value's operations, in one frame."""
     cost, life = asset.cost, asset.lifetime
-    g = math.log1p(rate.rate)
+    g = log1p(rate.rate)
     lg = life * g
     if lg >= _STRAIGHT_LINE_BELOW:
-        e, expm1 = math.expm1(-lg), math.expm1
+        e = expm1(-lg)
         return [cost * (expm1(-((life - age) * g)) / e) for age in ages]
     return [cost * ((life - age) / life) for age in ages]
 
@@ -243,15 +243,15 @@ def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuati
     life = asset.lifetime
     if not 0 <= age <= life:  # NaN and +-inf fail here too
         check_age(asset, age)
-    g = math.log1p(rate.rate)
+    g = log1p(rate.rate)
     lg = life * g
     if lg >= _STRAIGHT_LINE_BELOW:
         # ratio in [0, 1]: V(0) is exactly cost; -((life - age) * g) = -0.0 makes V(life) +0.0
-        return _VALUATION((asset.cost * (math.expm1(-((life - age) * g)) / math.expm1(-lg)),))
+        return _VALUATION((asset.cost * (expm1(-((life - age) * g)) / expm1(-lg)),))
     return _VALUATION((asset.cost * ((life - age) / life),))
 
 
-def _trade_surplus(
+def trade_surplus(
     asset: AssetSpec, age: float, seller_rate: DiscountRate, buyer_rate: DiscountRate
 ) -> float:
     """Buyer's intrinsic valuation minus the seller's at the same age.
@@ -260,7 +260,7 @@ def _trade_surplus(
     to rounding (at rates an ulp apart the two values can cross by an ulp of
     cost); zero at age 0 and at end of life regardless of rates. Each value
     is intrinsic_value's amount, by its float operations in the same order,
-    in this one frame: the public name is schedule.trade_surplus.
+    in this one frame.
     """
     life = asset.lifetime
     if not 0 <= age <= life:  # NaN and +-inf fail here too

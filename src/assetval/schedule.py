@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import gc
-from itertools import chain, repeat, starmap
+from itertools import chain, repeat
 from operator import sub
 from typing import NamedTuple
 
@@ -20,10 +20,10 @@ from .core import (
     InvalidInput,
     MissingRate,
     _chord_gap,
-    _trade_surplus,
     _value_curve,
     intrinsic_depreciation,
     intrinsic_value,  # not called here; the benchmark's tracer patches it by name
+    trade_surplus,  # not called here; the benchmark's tracer patches it by name
 )
 
 
@@ -78,8 +78,8 @@ def build_schedule(
     ones from one intrinsic_depreciation(n - 1, n) call per period n and the
     value curve's books, classical ones from one book call per period and each
     book's drop. The benchmark's tracer counts those calls, so their functions
-    are looked up at call time. starmap makes each row with tuple.__new__
-    (ScheduleRow, (expense, book)), as _make does, with the cyclic collector
+    are looked up at call time. Each row is tuple.__new__(ScheduleRow,
+    (expense, book)), as _make makes it, built with the cyclic collector
     paused (and restored as found, also on error). At most MAX_PERIODS periods.
     """
     life = _periods(asset)
@@ -94,13 +94,12 @@ def build_schedule(
         expenses = map(intrinsic_depreciation, repeat(asset), repeat(rate), range(life), periods)
     # A ScheduleRow is a tuple subclass, which the cyclic collector never
     # untracks, so each collection started during the build would walk every
-    # row built so far. Pause the collector (only if it is on) until the
-    # schedule is made; the collections it defers start after the return.
+    # row built so far. Pause the collector until the schedule is made; the
+    # collections it defers start after the return.
     paused = gc.isenabled()
-    if paused:
-        gc.disable()
+    gc.disable()
     try:
-        return Schedule(tuple(starmap(tuple.__new__, zip(repeat(ScheduleRow), zip(expenses, books)))))
+        return Schedule(tuple(map(tuple.__new__, repeat(ScheduleRow), zip(expenses, books))))
     finally:
         if paused:
             gc.enable()
@@ -131,7 +130,3 @@ def chord_gap(asset: AssetSpec, rate: DiscountRate) -> float:
     grows with the rate (the curve bows further above the chord).
     """
     return _chord_gap(asset, rate, _periods(asset))
-
-
-# One frame per call, in core beside intrinsic_value; the benchmark's tracer patches it here by name.
-trade_surplus = _trade_surplus

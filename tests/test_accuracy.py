@@ -13,11 +13,12 @@ rounding in g moves exp(-(l - a) * g) by about that many ulps. The
 contract covers normal results only; a result below the smallest normal
 double (about 2.2e-308) is out of it. `double_declining_book_value` meets
 it with conditioning 0 at the lifetimes pinned below, and everywhere with
-its own exponent's conditioning, |a * log1p(-min(2/l, 1))|. One known break
-is outside the contract until mended, and is pinned below as a strict
-xfail: a depreciation computed through a subnormal intermediate (the
-factor exp(-(l - b) * g), or the span over the lifetime or times g) whose
-result is normal.
+its own exponent's conditioning, |a * log1p(-min(2/l, 1))|. Two known
+breaks are outside the contract until mended, and are pinned below as
+strict xfails: a classical schedule's expense, the difference of two
+books (ROADMAP item 8), and a depreciation computed through a subnormal
+intermediate (the factor exp(-(l - b) * g), or the span over the lifetime
+or times g) whose result is normal.
 
 The reference is independent of the code's formulas' rounding: it
 evaluates the same closed forms in decimal arithmetic at 80 digits, with
@@ -34,6 +35,8 @@ from hypothesis import example, given, strategies as st
 from assetval import (
     AssetSpec,
     DiscountRate,
+    Method,
+    build_schedule,
     double_declining_book_value,
     intrinsic_depreciation,
     intrinsic_value,
@@ -91,6 +94,9 @@ def exact_book(method: str, cost, life: int, age: int) -> Decimal:
         return EXACT.divide(EXACT.multiply(cost, digits - (age * life - age * (age - 1) // 2)), digits)
     base = EXACT.subtract(1, min(EXACT.divide(2, life), Decimal(1)))  # ddb
     return EXACT.multiply(cost, EXACT.power(base, age) if age else Decimal(1))
+
+
+CLASSICAL = {"sl": Method.STRAIGHT_LINE, "ddb": Method.DOUBLE_DECLINING, "syd": Method.SUM_OF_YEARS}
 
 
 def subnormal_intermediate(life: float, rate: float, start: float, end: float) -> bool:
@@ -170,6 +176,25 @@ def test_double_declining_books_meet_the_contract_at_their_conditioning(cost, li
     conditioning = -age * math.log1p(-q) if q < 1.0 else 0.0
     assert_within_contract(double_declining_book_value(asset, age), exact_book("ddb", cost, life, age),
                            conditioning)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a classical expense is the difference of two books, so it keeps "
+                          "their rounding error, up to an ulp of the cost (ROADMAP item 8)")
+@pytest.mark.parametrize("cost", [100.0, 1e13])
+@pytest.mark.parametrize("method", list(CLASSICAL))
+def test_classical_expenses_meet_the_contract(method, cost):
+    """Each expense of a 3,000-period schedule against the exact drop of its
+    book. Today the worst reads 2,321, 4,008 and 3,423 ulps at cost 100 (sl,
+    ddb, syd) and 5,461, 4,713 and 2,597 at 1e13. The DDB expense is
+    -cost * q * (1 - q)**(n - 1), whose conditioning is |(n - 1) * log1p(-q)|."""
+    life = 3000
+    q = min(2.0 / life, 1.0)
+    rows = build_schedule(AssetSpec(cost, life), CLASSICAL[method]).rows
+    for n, row in enumerate(rows, 1):
+        exact = EXACT.subtract(exact_book(method, cost, life, n), exact_book(method, cost, life, n - 1))
+        conditioning = -(n - 1) * math.log1p(-q) if method == "ddb" else 0
+        assert_within_contract(row.expense, exact, conditioning)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

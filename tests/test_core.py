@@ -53,6 +53,24 @@ def truncated_sum(cost, lifetime, rate, terms):
     return total
 
 
+class TestCheckAge:
+    """check_age on its own, over the ages point_inputs samples: the composed
+    forms in the properties call it themselves, so they cannot catch a change to it."""
+
+    @pytest.mark.parametrize("age", [math.nan, math.inf, -math.inf, -5e-324, -1.0,
+                                     math.nextafter(10, math.inf), 20.0])
+    @pytest.mark.parametrize("name", ["age", "age_end"])
+    def test_age_outside_the_lifetime_raises(self, age, name):
+        with pytest.raises(AgeOutOfRange) as exc:
+            check_age(REF_ASSET, age, name=name)
+        assert exc.value.field == name
+        assert str(exc.value) == f"{name} must lie in [0, 10], got {age!r}"
+
+    @pytest.mark.parametrize("age", [0, 0.0, -0.0, 5, 10, 10.0])
+    def test_age_within_the_lifetime_passes(self, age):
+        assert check_age(REF_ASSET, age) is None
+
+
 class TestPresentCost:
     def test_reference_asset(self):
         v = present_cost(REF_ASSET, R20)

@@ -14,6 +14,7 @@ from assetval import (
     build_schedule,
     chord_gap,
     compare_methods,
+    core,
     intrinsic_value,
     rate_sweep,
     schedule,
@@ -288,6 +289,9 @@ class TestChordGap:
 
 
 class TestTradeSurplus:
+    def test_one_name_for_the_kernel(self):
+        assert schedule.trade_surplus is core.trade_surplus is trade_surplus
+
     def test_midlife_gap(self):
         surplus = trade_surplus(ASSET, 5, DiscountRate(0.05), DiscountRate(0.2))
         assert surplus == pytest.approx(15.264201632761086, rel=1e-10)
