@@ -34,8 +34,10 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .classic import Method
 from .core import AssetSpec, DiscountRate, InvalidInput, delayed_present_cost, intrinsic_value, present_cost
-# chord_gap and trade_surplus are not called here; the benchmark's tracer patches them by name
-from .schedule import MAX_PERIODS, build_schedule, chord_gap, compare_methods, rate_sweep, trade_surplus
+# chord_gap, compare_methods and trade_surplus are not called here; the benchmark's tracer
+# patches them by name
+from .schedule import (MAX_PERIODS, _book_columns, build_schedule, chord_gap, compare_methods,
+                       rate_sweep, trade_surplus)
 
 if TYPE_CHECKING:  # for annotations: cmd_batch imports it, so that only batch pays for it
     from pathlib import Path
@@ -318,7 +320,7 @@ def cmd_compare(args, out) -> int:
     tokens = _split(args.methods)
     methods = [_parse_method(t, "--methods") for t in tokens]
     rate = None if args.rate is None else parse_rate(args.rate, "--rate")
-    books = [list(map(_BOOK, s.rows)) for s in compare_methods(asset, methods, rate).schedules]
+    books = _book_columns(asset, methods, rate)
     periods = range(1, len(books[0]) + 1)
     row = "%d" + ",%.4f" * len(books) + "\n"
     _render(out, args, "compare", ["period"] + tokens, row * len(periods),

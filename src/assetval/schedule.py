@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+from collections.abc import Sequence
 from itertools import chain, repeat
 from operator import sub
 from typing import NamedTuple
@@ -10,6 +11,7 @@ from typing import NamedTuple
 from .classic import (
     Method,
     _as_period,
+    _book_curve,
     double_declining_book_value,
     straight_line_book_value,
     sum_of_years_book_value,
@@ -61,6 +63,19 @@ def _periods(asset: AssetSpec) -> int:
     return life
 
 
+def _checked_periods(
+    asset: AssetSpec, methods: Sequence[Method], rate: DiscountRate | None
+) -> range:
+    """Periods 1..lifetime of the methods' schedules, or their first fault: no
+    methods, then the lifetime (see _periods), then an intrinsic method with no rate."""
+    if not methods:
+        raise InvalidInput("at least one method is required", field="methods")
+    periods = range(1, _periods(asset) + 1)
+    if rate is None and Method.INTRINSIC in methods:
+        raise MissingRate("intrinsic schedules require a discount rate", field="rate")
+    return periods
+
+
 _CLASSIC_BOOK = {
     Method.STRAIGHT_LINE: straight_line_book_value,
     Method.DOUBLE_DECLINING: double_declining_book_value,
@@ -82,16 +97,13 @@ def build_schedule(
     (expense, book)), as _make makes it, built with the cyclic collector
     paused (and restored as found, also on error). At most MAX_PERIODS periods.
     """
-    life = _periods(asset)
-    periods = range(1, life + 1)
+    periods = _checked_periods(asset, (method,), rate)
     if method is not Method.INTRINSIC:
         books = list(map(_CLASSIC_BOOK[method], repeat(asset), periods))
         expenses = map(sub, books, chain((asset.cost,), books))
-    elif rate is None:
-        raise MissingRate("intrinsic schedules require a discount rate", field="rate")
     else:
         books = _value_curve(asset, rate, periods)
-        expenses = map(intrinsic_depreciation, repeat(asset), repeat(rate), range(life), periods)
+        expenses = map(intrinsic_depreciation, repeat(asset), repeat(rate), range(len(periods)), periods)
     # A ScheduleRow is a tuple subclass, which the cyclic collector never
     # untracks, so each collection started during the build would walk every
     # row built so far. Pause the collector until the schedule is made; the
@@ -109,9 +121,18 @@ def compare_methods(
     asset: AssetSpec, methods: list[Method], rate: DiscountRate | None = None
 ) -> ComparisonReport:
     """Aligned schedules for several methods over the same asset."""
-    if not methods:
-        raise InvalidInput("at least one method is required", field="methods")
+    _checked_periods(asset, methods, rate)
     return ComparisonReport(tuple(build_schedule(asset, m, rate) for m in methods))
+
+
+def _book_columns(
+    asset: AssetSpec, methods: list[Method], rate: DiscountRate | None
+) -> list[list[float]]:
+    """The book values of compare_methods' schedules, one list per method, or its
+    fault; no expense, row or book call: each list is one value or book curve."""
+    periods = _checked_periods(asset, methods, rate)
+    return [_value_curve(asset, rate, periods) if m is Method.INTRINSIC
+            else _book_curve(asset, m, periods) for m in methods]
 
 
 def rate_sweep(asset: AssetSpec, rates: list[DiscountRate]) -> SweepReport:

@@ -375,6 +375,25 @@ class TestCompare:
         assert header == ["period", "intrinsic"]
         assert len(rows) == 10
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_books_only(self, fmt, monkeypatch):
+        """compare builds no schedule and makes no call per row (the counterpart of
+        test_one_patched_call_per_row): with each such path raising, it prints the same."""
+        argv = ("compare", "--cost", "100", "--life", "40", "--rate", "0.05",
+                "--methods", "sl,ddb,syd,intrinsic", "--format", fmt, "--deterministic")
+        want = run(*argv)
+
+        def fail(*args):
+            raise AssertionError("compare built a schedule or called a per-row function")
+
+        for module, name in ((schedule, "build_schedule"), (cli, "build_schedule"),
+                             (cli, "compare_methods"), (schedule, "intrinsic_depreciation")):
+            monkeypatch.setattr(module, name, fail)
+        for method in list(schedule._CLASSIC_BOOK):
+            monkeypatch.setitem(schedule._CLASSIC_BOOK, method, fail)
+        assert want[0] == 0
+        assert run(*argv) == want
+
 
 class TestSweep:
     def test_matrix_with_gap_row(self):

@@ -2,9 +2,11 @@
 wide input ranges, point valuations and classical book values bit for bit
 (or fault for fault) against the helper calls they were composed of,
 schedule rows bit for bit against a per-period loop, the value curve,
-rate_sweep and chord_gap bit for bit against the point path, the CLI's
-JSON writer (schedule rows and money lists included) against the json
-module over the shapes that payloads hold, table and CSV rows from
+rate_sweep and chord_gap bit for bit against the point path, the classical
+book curves against the book functions, compare's columns against the
+books of compare_methods' schedules (or its fault), the CLI's JSON writer
+(schedule rows and money lists included) against the json module over
+the shapes that payloads hold, table and CSV rows from
 templates against per-cell rendering, money rounded once for CSV as for
 JSON, batch CSV rows against the csv module, bad command-line and registry
 tokens against exit code 1 and against NaN or Infinity in JSON, CSV cells
@@ -42,6 +44,7 @@ from assetval import (
     Valuation,
     build_schedule,
     chord_gap,
+    compare_methods,
     delayed_present_cost,
     double_declining_book_value,
     intrinsic_depreciation,
@@ -66,8 +69,9 @@ from assetval.cli import (
     _write_json,
     main,
 )
-from assetval.classic import _as_period
+from assetval.classic import _as_period, _book_curve
 from assetval.core import _STRAIGHT_LINE_BELOW, _chain_cost, _value_curve, check_age
+from assetval.schedule import MAX_PERIODS, _book_columns
 
 CLASSIC_BOOK = {
     Method.STRAIGHT_LINE: straight_line_book_value,
@@ -266,6 +270,78 @@ def test_value_curve_equals_the_point_path_bit_for_bit(inputs, fractions):
         map(float.hex, values))
     gap = max(v - asset.cost * ((life - a) / life) for a, v in enumerate(values))
     assert float.hex(chord_gap(asset, rate)) == float.hex(gap)
+
+
+@st.composite
+def classical_assets(draw):
+    """Int cost up to 1e308 or float cost from 1e-300 to 1.7e308, and lifetime
+    1, 2, 3 or up to 3,000, int or whole float."""
+    life = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 3000))
+    cost = draw(st.integers(1, 10**308) | spread(1e-300, 1.7e308))
+    return AssetSpec(cost, draw(st.sampled_from([life, float(life)])))
+
+
+@SETTINGS
+@given(classical_assets())
+@example(AssetSpec(100, 10))
+@example(AssetSpec(1.7e308, 3))
+@example(AssetSpec(1e-300, 2.0))
+@example(AssetSpec(10**308, 1))
+def test_book_curve_equals_the_book_functions_bit_for_bit(asset):
+    """Each classical book curve is its book function age by age, 0 and the lifetime included."""
+    ages = range(int(asset.lifetime) + 1)
+    for method, book in CLASSIC_BOOK.items():
+        assert list(map(float.hex, _book_curve(asset, method, ages))) == [
+            float.hex(book(asset, n)) for n in ages]
+
+
+@st.composite
+def comparison_inputs(draw):
+    """An asset, a list of methods (empty, repeated or mixed) and a rate or None.
+    The lifetime is whole (int or float, up to 300), fractional, or above
+    MAX_PERIODS (whole or not), so that every fault of a comparison is reached."""
+    cost = draw(st.integers(1, 10**6) | spread(1e-6, 1.7e308))
+    whole = st.integers(1, 300).flatmap(lambda n: st.sampled_from([n, float(n)]))
+    fractional = st.floats(1e-3, 3000.0).filter(lambda x: x % 1 != 0)
+    beyond = st.sampled_from([MAX_PERIODS + 1, float(MAX_PERIODS + 1), MAX_PERIODS + 0.5, 1e300])
+    asset = AssetSpec(cost, draw(whole | whole | fractional | beyond))
+    methods = draw(st.lists(st.sampled_from(list(Method)), max_size=5))
+    return asset, methods, draw(st.none() | rates.map(DiscountRate))
+
+
+def columns_or_fault(columns, *args):
+    """float.hex of each column's books, or the fault's class, field and message."""
+    try:
+        return [list(map(float.hex, books)) for books in columns(*args)]
+    except InvalidInput as exc:
+        return type(exc), exc.field, str(exc)
+
+
+def composed_books(asset, methods, rate):
+    """Each method's books from its own schedule, after the empty-list fault:
+    compare_methods' composition, with no shared check."""
+    if not methods:
+        raise InvalidInput("at least one method is required", field="methods")
+    return [[row.book_value for row in build_schedule(asset, m, rate).rows] for m in methods]
+
+
+@SETTINGS
+@given(comparison_inputs())
+@example((AssetSpec(100, 10), list(Method), DiscountRate(0.2)))
+@example((AssetSpec(100, 10), [], None))
+@example((AssetSpec(100, 10.5), [], None))
+@example((AssetSpec(100, 10.5), [Method.STRAIGHT_LINE, Method.INTRINSIC], None))
+@example((AssetSpec(100, MAX_PERIODS + 1), [Method.INTRINSIC], None))
+@example((AssetSpec(100, 10), [Method.STRAIGHT_LINE, Method.INTRINSIC], None))
+@example((AssetSpec(100, 10), [Method.SUM_OF_YEARS, Method.DOUBLE_DECLINING], None))
+def test_book_columns_equal_compare_methods_books_bit_for_bit(inputs):
+    """compare's columns are the books of compare_methods' schedules, or its fault."""
+    asset, methods, rate = inputs
+    want = columns_or_fault(composed_books, asset, methods, rate)
+    assert columns_or_fault(_book_columns, asset, methods, rate) == want
+    assert columns_or_fault(lambda *args: [[row.book_value for row in s.rows] for s in
+                                           compare_methods(*args).schedules],
+                            asset, methods, rate) == want
 
 
 def _discount(asset, rate):

@@ -234,6 +234,21 @@ class TestCompareMethods:
         with pytest.raises(InvalidInput):
             compare_methods(ASSET, [], R20)
 
+    @pytest.mark.parametrize("compare", [compare_methods, schedule._book_columns])
+    def test_faults_in_order(self, compare):
+        """No methods, then the lifetime, then a missing rate, however the methods
+        are ordered; build_schedule checks its lifetime before its rate too."""
+        half = AssetSpec(cost=100, lifetime=2.5)
+        mixed = [Method.STRAIGHT_LINE, Method.INTRINSIC]
+        with pytest.raises(InvalidInput) as exc:
+            compare(half, [], None)
+        assert (type(exc.value), exc.value.field) == (InvalidInput, "methods")
+        for asset, fault in ((half, NonIntegerPeriod), (ASSET, MissingRate)):
+            with pytest.raises(fault):
+                compare(asset, mixed, None)
+        with pytest.raises(NonIntegerPeriod):
+            build_schedule(half, Method.INTRINSIC)
+
 
 class TestRateSweep:
     def test_values_and_ordering(self):
