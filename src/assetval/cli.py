@@ -24,7 +24,7 @@ import os
 import re
 import stat
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from contextlib import nullcontext
 from itertools import chain
 from operator import itemgetter, sub
@@ -105,23 +105,26 @@ def _write_json(write, obj, pad: str = "\n") -> None:
     ints and floats only) in one piece from its items' reprs; a callable (a
     batch entry, a schedule, a money list) returns its own text given pad;
     a str, float or int (payloads hold no other scalar) as json.dumps writes it.
-    Each of these leaves reaches write as one text."""
-    inner = pad + "  "
-    if isinstance(obj, dict):
+    Each of these leaves reaches write as one text. It dispatches on the exact
+    type: payloads hold no subclass of these."""
+    kind = type(obj)
+    if kind is dict:
         opener, closer, items = "{", "}", ((f"{_json_str(k)}: ", v) for k, v in obj.items())
-    elif isinstance(obj, Iterator):
-        opener, closer, items = "[", "]", (("", v) for v in obj)
-    else:
-        if isinstance(obj, list):
-            text = _json_list("%r", len(obj), pad) % tuple(obj) if obj else "[]"
-        elif callable(obj):
-            text = obj(pad)
-        elif isinstance(obj, str):
-            text = _json_str(obj)
-        else:  # a float or int
-            text = repr(obj)
-        write(text)
+    elif kind is float or kind is int:
+        write(repr(obj))
         return
+    elif kind is str:
+        write(_json_str(obj))
+        return
+    elif kind is list:
+        write(_json_list("%r", len(obj), pad) % tuple(obj) if obj else "[]")
+        return
+    elif callable(obj):
+        write(obj(pad))
+        return
+    else:  # an iterator
+        opener, closer, items = "[", "]", (("", v) for v in obj)
+    inner = pad + "  "
     lead = opener + inner
     for key, value in items:
         write(lead + key)
@@ -146,43 +149,70 @@ def _emit_csv(out, header: list[str], body: str) -> None:
     out.write(body)
 
 
-def _emit_table(out, header: list[str], body: str) -> None:
-    """body's lines, CSV cells with no space, right-justified under header."""
-    cells, k = body.replace(",", " ").split(), len(header)
-    widths = [max(len(h), *map(len, cells[i::k])) for i, h in enumerate(header)]
+def _table_line(template: str, widths: list[int]) -> str:
+    """A CSV line template ("%d", "%.4f" and text fields) as a table's: each field
+    right-justified at its width after two spaces, but a money field one wider after
+    one space, so that _fill can write a "-0.0000" as " 0.0000" in its place."""
+    return template and "".join(
+        " %%%d.4f" % (w + 1) if f == "%.4f" else "  %%%dd" % w if f == "%d" else "  " + f.rjust(w)
+        for f, w in zip(template[:-1].split(","), widths)) + "\n"
+
+
+def _emit_table(out, header: list[str], row: str, n: int, tail: str, cells: Iterable,
+                widest: Sequence) -> None:
+    """(row * n + tail) % cells, money as _fill writes it, each cell right-justified
+    under header, in one fill at each column's width: that of its header or of its
+    widest text in widest, the cells of row * m + tail for some m."""
+    m = (len(widest) - tail.count("%")) // row.count("%")
+    sample = (line.split(",") for line in _fill(row * m + tail, widest)[:-1].split("\n"))
+    widths = [max(map(len, column)) for column in zip(header, *sample)]
     out.write("  ".join(map(str.ljust, header, widths)).rstrip() + "\n")
-    line = "  ".join(["%%%ds" % w for w in widths]) + "\n"
-    out.write(line * (len(cells) // k) % tuple(cells))
+    # A table line does not start with its first field's lead: two spaces, cut from
+    # the template, or a money field's space, cut there, and the pad character that
+    # then starts every filled line, cut from the text.
+    cut = 1 if row.startswith("%.4f") else 2
+    text = _fill(_table_line(row, widths)[cut:] * n + _table_line(tail, widths)[cut:], cells, " 0.0000")
+    out.write(text if cut == 2 else text[1:].replace("\n ", "\n"))
 
 
-def _fill(template: str, cells: Iterable) -> str:
-    """template % cells, money that rounds to zero without its sign: money cells are
-    "%.4f" and no other cell ("%d", text) holds "-0.0000", so each is a whole cell."""
-    return (template % tuple(cells)).replace("-0.0000", "0.0000")
+def _fill(template: str, cells: Iterable, zero: str = "0.0000") -> str:
+    """template % cells, money that rounds to zero written as zero, without its sign:
+    money cells are "%.4f" and no other cell ("%d", text) holds "-0.0000", so each is
+    a whole cell."""
+    return (template % tuple(cells)).replace("-0.0000", zero)
 
 
-def _render(out, args, command: str, header: list[str], lines: str, cells: Iterable[float],
-            payload: Callable[[], dict], *, labels: list[str] | None = None) -> None:
+def _render(out, args, command: str, header: list[str], row: str, cells: Iterable[float],
+            payload: Callable[[], dict], *, n: int = 1, tail: str = "",
+            widest: Callable[[], Sequence] | None = None, labels: list[str] | None = None) -> None:
     """Write one command's result in the format --format names, building only what it writes.
 
-    header and lines % cells are the table: lines is the CSV template of
-    every line, whose money cells "%.4f" writes and whose other cells are
-    periods ("%d") or text. payload() is what --format json writes. With
-    labels (value, surplus: always one line), --format table prints one line
-    per column, the label and the cell, or the bare cell where the label is empty.
+    header and (row * n + tail) % cells are the table: row is the CSV template
+    of each of its n lines and tail of a last line (sweep's chord gaps), whose
+    money cells "%.4f" writes and whose other cells are periods ("%d") or text.
+    widest(), called only for --format table, gives the cells of row * m +
+    tail, for some m, that hold each column's widest text. payload() is what
+    --format json writes. With labels (value, surplus: always one line),
+    --format table prints one line per column, the label and the cell, or the
+    bare cell where the label is empty.
     """
     if args.format == "json":
         _emit_json(out, command, payload(), args.deterministic)
-        return
-    body = _fill(lines, cells)
-    if args.format == "csv":
-        _emit_csv(out, header, body)
+    elif args.format == "csv":
+        _emit_csv(out, header, _fill(row * n + tail, cells))
     elif labels is None:
-        _emit_table(out, header, body)
+        _emit_table(out, header, row, n, tail, cells, widest())
     else:
         width = max(map(len, labels))
-        for label, cell in zip(labels, body[:-1].split(",")):
+        for label, cell in zip(labels, _fill(row, cells)[:-1].split(",")):
             out.write(f"{label.ljust(width)}  {cell}\n" if label else f"{cell}\n")
+
+
+def _widest(last: int, *columns: Sequence[float]) -> tuple:
+    """The cells of two lines, last and each column's max, then last and each
+    column's min: the widest text of a period or age is its column's last, and
+    of money its column's max or min, as "%.4f" text grows with |x| on each sign."""
+    return (last, *map(max, columns), last, *map(min, columns))
 
 
 # The zeros after a money cell's first decimal, in JSON text that "%.4f" wrote:
@@ -306,12 +336,13 @@ def cmd_schedule(args, out) -> int:
     rate = None if args.rate is None else parse_rate(args.rate, "--rate")
     rows = build_schedule(asset, method, rate).rows
     cells = _row_cells(rows)
-    _render(out, args, "schedule", ["period", "expense", "book_value"], _CSV_ROW * len(rows), cells,
+    _render(out, args, "schedule", ["period", "expense", "book_value"], _CSV_ROW, cells,
             lambda: {"method": method.value,
                      "asset": {"cost": asset.cost, "lifetime": asset.lifetime},
                      "rows": _json_rows(cells, asset.cost, _ROW),
                      # classical schedules do not use the rate
-                     **({"rate": rate.rate} if method is Method.INTRINSIC else {})})
+                     **({"rate": rate.rate} if method is Method.INTRINSIC else {})},
+            n=len(rows), widest=lambda: _widest(len(rows), cells[1::3], cells[2::3]))
     return 0
 
 
@@ -322,13 +353,13 @@ def cmd_compare(args, out) -> int:
     rate = None if args.rate is None else parse_rate(args.rate, "--rate")
     books = _book_columns(asset, methods, rate)
     periods = range(1, len(books[0]) + 1)
-    row = "%d" + ",%.4f" * len(books) + "\n"
-    _render(out, args, "compare", ["period"] + tokens, row * len(periods),
+    _render(out, args, "compare", ["period"] + tokens, "%d" + ",%.4f" * len(books) + "\n",
             chain.from_iterable(zip(periods, *books)),
             lambda: {"asset": {"cost": asset.cost, "lifetime": asset.lifetime},
                      "periods": list(periods),
                      "book_values": {tok: _json_rows(b, asset.cost) for tok, b in zip(tokens, books)},
-                     **({} if rate is None else {"rate": rate.rate})})
+                     **({} if rate is None else {"rate": rate.rate})},
+            n=len(periods), widest=lambda: _widest(len(periods), *books))
     return 0
 
 
@@ -341,12 +372,13 @@ def cmd_sweep(args, out) -> int:
     chord = [asset.cost * ((asset.lifetime - a) / asset.lifetime) for a in ages]
     gaps = [max(map(sub, curve, chord)) for curve in values]  # bit for bit as chord_gap
     row = ",%.4f" * len(gaps) + "\n"
-    _render(out, args, "sweep", ["age"] + tokens, ("%d" + row) * len(ages) + "chord_gap" + row,
+    _render(out, args, "sweep", ["age"] + tokens, "%d" + row,
             chain(chain.from_iterable(zip(ages, *values)), gaps),
             lambda: {"asset": {"cost": asset.cost, "lifetime": asset.lifetime}, "ages": list(ages),
                      "rates": [r.rate for r in rates],
                      "values": {tok: _json_rows(v, asset.cost) for tok, v in zip(tokens, values)},
-                     "chord_gap": {tok: _money(g) for tok, g in zip(tokens, gaps)}})
+                     "chord_gap": {tok: _money(g) for tok, g in zip(tokens, gaps)}},
+            n=len(ages), tail="chord_gap" + row, widest=lambda: (*_widest(ages[-1], *values), *gaps))
     return 0
 
 

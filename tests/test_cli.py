@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from decimal import Decimal
 from pathlib import Path
@@ -534,6 +535,35 @@ def test_too_many_periods_exit_2_naming_life(argv, lifetime, capsys):
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith(
         "error: --life: lifetime must be at most 1000000 periods")
+
+
+class Discard:
+    """A sink that keeps no text, so that a traced peak is the command's own."""
+
+    def write(self, text):
+        pass
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--method", "sl"],
+    ["compare", "--methods", "sl,ddb,syd,intrinsic", "--rate", "0.05"],
+    ["sweep", "--rates", "0.05,0.1"],
+])
+def test_table_peak_memory_within_a_quarter_of_csv(argv):
+    """A table is filled once at its column widths, making no string per cell,
+    so its traced peak stays within 1.25x the CSV's."""
+    peaks = {}
+    for fmt in ("csv", "table"):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--cost", "100", "--life", "20000", "--format", fmt], out=Discard()) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["table"] <= 1.25 * peaks["csv"]
 
 
 class TestBatch:

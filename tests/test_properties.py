@@ -7,11 +7,12 @@ book curves against the book functions, compare's columns against the
 books of compare_methods' schedules (or its fault), the CLI's JSON writer
 (schedule rows and money lists included) against the json module over
 the shapes that payloads hold, table and CSV rows from
-templates against per-cell rendering, money rounded once for CSV as for
-JSON, batch CSV rows against the csv module, bad command-line and registry
-tokens against exit code 1 and against NaN or Infinity in JSON, CSV cells
-against the JSON payload (batch included), and sweep's chord gaps and
-surplus against chord_gap and trade_surplus.
+templates against per-cell rendering, each command's table against its
+CSV cells, money rounded once for CSV as for JSON, batch CSV rows against
+the csv module, bad command-line and registry tokens against exit code 1
+and against NaN or Infinity in JSON, CSV cells against the JSON payload
+(batch included), and sweep's chord gaps and surplus against chord_gap and
+trade_surplus.
 
 Ranges: cost in [1e-6, 1e12], lifetime in [1e-3, 1e6], rate in [0, 1e3],
 rate 0 and subnormal rates included. Each range is drawn both uniformly
@@ -653,6 +654,10 @@ def table_shapes(draw):
 @example((["", "b"], [[-4e-5, -0.00005]], False), "table", True)
 @example((["a,b", "c\nd"], [[-4e-5, 0.00005]], False), "csv", False)
 @example((["age", "5\r%", "e\r\nf"], [[1, 0.5, -0.0], ["chord_gap", 1e16, 4e-5]], True), "csv", False)
+@example((["period", "m"], [[1, 3.25], [2, -10.5], [3, 0.0]], True), "table", False)  # widest: the min
+@example((["n", ""], [[1, -0.0], [2, -4e-5]], True), "table", False)  # only negative zeros
+@example((["", ""], [[-0.0, -4e-5]], False), "table", False)  # ... in a first column
+@example((["age", "r"], [[1, 1.5], [2, 0.5], ["chord_gap", 0.25]], True), "table", False)
 def test_template_rows_match_per_cell_rendering(shape, fmt, labelled):
     """_render's table and CSV from one "%.4f" template per row shape are the
     per-cell rendering: fmt_money cells that csv.reader reads back, written as
@@ -661,11 +666,12 @@ def test_template_rows_match_per_cell_rendering(shape, fmt, labelled):
     table, or with labels one line per cell. The JSON payload is never built."""
     header, rows, lead = shape
     labels = header if labelled and not lead else None
-    lines = "".join(("chord_gap," if row[0] == "chord_gap" else "%d," if lead else "")
-                    + ",".join(["%.4f"] * (len(row) - lead)) + "\n" for row in rows)
+    line = ("%d," if lead else "") + ",".join(["%.4f"] * (len(rows[0]) - lead)) + "\n"
+    tail = "chord_gap" + line[2:] if rows[-1][0] == "chord_gap" else ""
+    flat = [c for row in rows for c in row if c != "chord_gap"]
     buf = io.StringIO()
-    _render(buf, SimpleNamespace(format=fmt), "cmd", header, lines,
-            [c for row in rows for c in row if c != "chord_gap"], pytest.fail, labels=labels)
+    _render(buf, SimpleNamespace(format=fmt), "cmd", header, line, flat, pytest.fail,
+            n=len(rows) - bool(tail), tail=tail, widest=lambda: flat, labels=labels)
     cells = [[c if isinstance(c, str) else str(c) if isinstance(c, int) else fmt_money(c)
               for c in row] for row in rows]
     want = io.StringIO()
@@ -860,6 +866,32 @@ def test_csv_cells_match_json_payload(command, method, cost, life, rate, other, 
     values = PAYLOAD_ROWS[command](json.loads(text)["payload"], header)
     assert [len(row) for row in cells] == [len(row) for row in values]
     assert all(same_cell(c, v) for row, want in zip(cells, values) for c, v in zip(row, want))
+
+
+@SETTINGS
+@given(st.sampled_from(["schedule", "compare", "sweep"]),
+       st.lists(st.sampled_from(sorted(METHOD_TOKENS)), min_size=1, max_size=4), costs,
+       st.integers(1, 60), st.lists(rates, min_size=1, max_size=4))
+@example("compare", ["sl", "ddb"], 1.0, 3, [0.05])  # money columns six characters wide
+@example("schedule", ["sl"], 100.0, 3, [0.05])  # negative expenses, widest at the min
+@example("sweep", ["sl"], 1e-6, 2, [5e-324, 1e3])  # chord_gap wider than every age
+def test_command_tables_are_their_csv_cells_right_justified(command, methods, cost, life, rate_list):
+    """schedule's, compare's and sweep's tables, whose column widths come from
+    each column's last period or age and money maximum and minimum, are their
+    CSV cells right-justified under the header, each column as wide as its widest cell."""
+    tokens = [repr(r) for r in rate_list]
+    argv = [command, "--cost", repr(cost), "--life", str(life), *{
+        "schedule": ["--method", methods[0], "--rate", tokens[0]],
+        "compare": ["--methods", ",".join(methods), "--rate", tokens[0]],
+        "sweep": ["--rates", ",".join(tokens)],
+    }[command]]
+    code, text = invoke([*argv, "--format", "csv"])
+    assume(code == 0)  # a value beyond a double at a high rate
+    header, *rows = csv.reader(io.StringIO(text))
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    want = "".join(["  ".join(map(str.ljust, header, widths)).rstrip() + "\n"]
+                   + ["  ".join(map(str.rjust, row, widths)) + "\n" for row in rows])
+    assert invoke([*argv, "--format", "table"]) == (0, want)
 
 
 @SETTINGS
