@@ -32,7 +32,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .classic import Method
+from .classic import Method, _book_curve
 from .core import AssetSpec, DiscountRate, InvalidInput, delayed_present_cost, intrinsic_value, present_cost
 # chord_gap, compare_methods and trade_surplus are not called here; the benchmark's tracer
 # patches them by name
@@ -158,27 +158,34 @@ def _table_line(template: str, widths: list[int]) -> str:
         for f, w in zip(template[:-1].split(","), widths)) + "\n"
 
 
+def _display_width(text: str) -> int:
+    """text's width in terminal cells: East Asian wide and fullwidth characters
+    take two, every other character one."""
+    if text.isascii():
+        return len(text)
+    from unicodedata import east_asian_width
+
+    return sum(2 if east_asian_width(c) in ("W", "F") else 1 for c in text)
+
+
 def _emit_table(out, header: list[str], row: str, n: int, tail: str, cells: Iterable,
                 widest: Sequence) -> None:
     """(row * n + tail) % cells, money as _fill writes it, each cell right-justified
-    under header, in one fill at each column's width: that of its header or of its
-    widest text in widest, the cells of row * m + tail for some m."""
-    m = (len(widest) - tail.count("%")) // row.count("%")
-    sample = (line.split(",") for line in _fill(row * m + tail, widest)[:-1].split("\n"))
-    widths = [max(map(len, column)) for column in zip(header, *sample)]
-    out.write("  ".join(map(str.ljust, header, widths)).rstrip() + "\n")
-    # A table line does not start with its first field's lead: two spaces, cut from
-    # the template, or a money field's space, cut there, and the pad character that
-    # then starts every filled line, cut from the text.
-    cut = 1 if row.startswith("%.4f") else 2
-    text = _fill(_table_line(row, widths)[cut:] * n + _table_line(tail, widths)[cut:], cells, " 0.0000")
-    out.write(text if cut == 2 else text[1:].replace("\n ", "\n"))
+    under header, in one fill at each column's width: the terminal cells of its
+    header or its widest text in widest, the cells of row * 2 + tail. row starts
+    with a period or an age, so a line drops only its template's two-space lead."""
+    sample = _fill(row * 2 + tail, widest)[:-1].split("\n")
+    spans = list(map(_display_width, header))
+    widths = list(map(max, spans, *(map(len, line.split(",")) for line in sample)))
+    out.write("  ".join([h + " " * (w - s) for h, w, s in zip(header, widths, spans)]).rstrip() + "\n")
+    out.write(_fill(_table_line(row, widths)[2:] * n + _table_line(tail, widths)[2:], cells, " 0.0000"))
 
 
 def _fill(template: str, cells: Iterable, zero: str = "0.0000") -> str:
     """template % cells, money that rounds to zero written as zero, without its sign:
     money cells are "%.4f" and no other cell ("%d", text) holds "-0.0000", so each is
-    a whole cell."""
+    a whole cell. The template's own text (chord_gap, value's and surplus's labels)
+    is a command's fixed names, with no "%" and no "-0.0000"."""
     return (template % tuple(cells)).replace("-0.0000", zero)
 
 
@@ -190,11 +197,12 @@ def _render(out, args, command: str, header: list[str], row: str, cells: Iterabl
     header and (row * n + tail) % cells are the table: row is the CSV template
     of each of its n lines and tail of a last line (sweep's chord gaps), whose
     money cells "%.4f" writes and whose other cells are periods ("%d") or text.
-    widest(), called only for --format table, gives the cells of row * m +
-    tail, for some m, that hold each column's widest text. payload() is what
-    --format json writes. With labels (value, surplus: always one line),
-    --format table prints one line per column, the label and the cell, or the
-    bare cell where the label is empty.
+    widest(), called only for --format table, gives the cells of row * 2 +
+    tail that hold each column's widest text: _widest's two lines, then the
+    tail's cells. payload() is what --format json writes. With labels (value,
+    surplus: one line of money only), --format table prints one line per
+    column, the label and the cell, or the bare cell where the label is empty,
+    from one fill.
     """
     if args.format == "json":
         _emit_json(out, command, payload(), args.deterministic)
@@ -204,8 +212,8 @@ def _render(out, args, command: str, header: list[str], row: str, cells: Iterabl
         _emit_table(out, header, row, n, tail, cells, widest())
     else:
         width = max(map(len, labels))
-        for label, cell in zip(labels, _fill(row, cells)[:-1].split(",")):
-            out.write(f"{label.ljust(width)}  {cell}\n" if label else f"{cell}\n")
+        out.write(_fill("".join(f"{label.ljust(width)}  %.4f\n" if label else "%.4f\n"
+                                for label in labels), cells))
 
 
 def _widest(last: int, *columns: Sequence[float]) -> tuple:
@@ -369,7 +377,7 @@ def cmd_sweep(args, out) -> int:
     rates = [parse_rate(t, "--rates") for t in tokens]
     values = rate_sweep(asset, rates).values
     ages = range(len(values[0]))
-    chord = [asset.cost * ((asset.lifetime - a) / asset.lifetime) for a in ages]
+    chord = _book_curve(asset, Method.STRAIGHT_LINE, ages)
     gaps = [max(map(sub, curve, chord)) for curve in values]  # bit for bit as chord_gap
     row = ",%.4f" * len(gaps) + "\n"
     _render(out, args, "sweep", ["age"] + tokens, "%d" + row,

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import unicodedata
 from contextlib import redirect_stdout
 from decimal import Decimal
 from pathlib import Path
@@ -456,6 +458,20 @@ class TestSweep:
         proc = self.run_to_ascii_stdout("json")
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert b'"\\uff15%": [' in proc.stdout
+
+    def test_table_header_padded_by_terminal_cells(self):
+        """A fullwidth 5 in a rate token (float() reads it) takes two terminal
+        cells, as every East Asian wide (W) or fullwidth (F) character does, so
+        each header starts where its column starts, two cells after the last
+        column's right-justified cells end."""
+        code, out = run("sweep", "--cost", "100", "--life", "2", "--rates", "\uff15%,0.1")
+        assert code == 0
+        header, *lines = out.splitlines()
+        cells = "".join(c * (1 + (unicodedata.east_asian_width(c) in ("W", "F"))) for c in header)
+        starts = [m.start() for m in re.finditer(r"\S+", cells)]
+        assert len(lines) == 4 and starts == [0, 11, 21]
+        for line in lines:
+            assert starts == [0, *(m.end() + 2 for m in re.finditer(r"\S+", line))][:-1]
 
     def test_negative_rate_rejected(self, capsys):
         code, _ = run("sweep", "--cost", "100", "--life", "10", "--rates", "-0.1")

@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import tempfile
+import unicodedata
 from contextlib import redirect_stderr
 from functools import partial
 from pathlib import Path
@@ -67,6 +68,7 @@ from assetval.cli import (
     _render,
     _row_cells,
     _schedule_csv,
+    _widest,
     _write_json,
     main,
 )
@@ -634,44 +636,57 @@ cell_doubles = money_doubles | st.floats(-5e-5, 0.0, exclude_min=True)
 
 @st.composite
 def table_shapes(draw):
-    """(header, rows, lead): the rows of a command's table, each a period or,
-    as sweep's last row, "chord_gap" (lead), then money; or one row of money
-    only (value, surplus)."""
+    """(header, rows, lead): the rows of a command's table, each a period or age
+    (lead) and then money, with at least one of them above sweep's last row,
+    "chord_gap", where there is one; or one row of money only (value, surplus),
+    under labels without "%", as commands' fixed names are."""
     width, lead = draw(st.integers(1, 5)), draw(st.booleans())
-    header = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
-                           min_size=width + lead, max_size=width + lead))
+    chars = st.characters(blacklist_categories=("Cs",), blacklist_characters="" if lead else "%")
+    header = draw(st.lists(st.text(chars, max_size=6), min_size=width + lead, max_size=width + lead))
     money = draw(st.lists(st.lists(cell_doubles, min_size=width, max_size=width),
                           min_size=1, max_size=6 if lead else 1))
     rows = [[n, *cells] if lead else cells for n, cells in enumerate(money, 1)]
-    if lead and draw(st.booleans()):
+    if len(rows) > 1 and draw(st.booleans()):
         rows[-1][0] = "chord_gap"
     return header, rows, lead
 
 
+def terminal_cells(text):
+    """The terminal cells that text takes: two for each East Asian wide or fullwidth character."""
+    return len(text) + sum(unicodedata.east_asian_width(c) in ("W", "F") for c in text)
+
+
 @SETTINGS
-@given(table_shapes(), st.sampled_from(["csv", "table"]), st.booleans())
-@example((["age", "0%"], [[1, -0.00004], [2, 1e16], ["chord_gap", -0.0]], True), "table", False)
-@example((["", "b"], [[-4e-5, -0.00005]], False), "table", True)
-@example((["a,b", "c\nd"], [[-4e-5, 0.00005]], False), "csv", False)
-@example((["age", "5\r%", "e\r\nf"], [[1, 0.5, -0.0], ["chord_gap", 1e16, 4e-5]], True), "csv", False)
-@example((["period", "m"], [[1, 3.25], [2, -10.5], [3, 0.0]], True), "table", False)  # widest: the min
-@example((["n", ""], [[1, -0.0], [2, -4e-5]], True), "table", False)  # only negative zeros
-@example((["", ""], [[-0.0, -4e-5]], False), "table", False)  # ... in a first column
-@example((["age", "r"], [[1, 1.5], [2, 0.5], ["chord_gap", 0.25]], True), "table", False)
-def test_template_rows_match_per_cell_rendering(shape, fmt, labelled):
+@given(table_shapes(), st.sampled_from(["csv", "table"]))
+@example((["age", "0%"], [[1, -0.00004], [2, 1e16], ["chord_gap", -0.0]], True), "table")
+@example((["", "b"], [[-4e-5, -0.00005]], False), "table")
+@example((["a,b", "c\nd"], [[-4e-5, 0.00005]], False), "csv")
+@example((["age", "5\r%", "e\r\nf"], [[1, 0.5, -0.0], ["chord_gap", 1e16, 4e-5]], True), "csv")
+@example((["period", "m"], [[1, 3.25], [2, -10.5], [3, 0.0]], True), "table")  # widest: the min
+@example((["n", ""], [[1, -0.0], [2, -4e-5]], True), "table")  # only negative zeros
+@example((["age", "r"], [[1, 1.5], [2, 0.5], ["chord_gap", 0.25]], True), "table")
+@example((["age", "\uff15%", "0.1"], [[1, 100.0, 100.0], [2, 0.0, 0.0], ["chord_gap", 1.2, 2.4]], True),
+         "table")  # a fullwidth digit: two cells
+# CJK wider than its cells; a combining accent counts one cell
+@example((["n", "\u6f22\u5b57\u6f22\u5b57\u6f22", "\u0301"], [[1, 1.5, -2.0]], True), "table")
+def test_template_rows_match_per_cell_rendering(shape, fmt):
     """_render's table and CSV from one "%.4f" template per row shape are the
     per-cell rendering: fmt_money cells that csv.reader reads back, written as
     a "\n"-terminated csv.writer writes them where no header cell holds CR
     (which that writer quotes only on some Python versions), or the ljust/rjust
-    table, or with labels one line per cell. The JSON payload is never built."""
+    table, each header padded to its column's width in terminal cells, or for
+    money only one labelled line per cell. The table's widths come from the
+    cells that commands pass: _widest's two lines and the chord_gap row's. The
+    JSON payload is never built."""
     header, rows, lead = shape
-    labels = header if labelled and not lead else None
     line = ("%d," if lead else "") + ",".join(["%.4f"] * (len(rows[0]) - lead)) + "\n"
     tail = "chord_gap" + line[2:] if rows[-1][0] == "chord_gap" else ""
+    body, gaps = (rows[:-1], rows[-1][1:]) if tail else (rows, [])
     flat = [c for row in rows for c in row if c != "chord_gap"]
     buf = io.StringIO()
     _render(buf, SimpleNamespace(format=fmt), "cmd", header, line, flat, pytest.fail,
-            n=len(rows) - bool(tail), tail=tail, widest=lambda: flat, labels=labels)
+            n=len(body), tail=tail, widest=lambda: (*_widest(body[-1][0], *list(zip(*body))[1:]), *gaps),
+            labels=None if lead else header)
     cells = [[c if isinstance(c, str) else str(c) if isinstance(c, int) else fmt_money(c)
               for c in row] for row in rows]
     want = io.StringIO()
@@ -680,13 +695,14 @@ def test_template_rows_match_per_cell_rendering(shape, fmt, labelled):
         if any("\r" in h for h in header):
             return
         csv.writer(want, lineterminator="\n").writerows([header, *cells])
-    elif labels is not None:
-        width = max(map(len, labels))
-        for label, cell in zip(labels, cells[0]):
+    elif not lead:
+        width = max(map(len, header))
+        for label, cell in zip(header, cells[0]):
             want.write(f"{label.ljust(width)}  {cell}\n" if label else f"{cell}\n")
     else:
-        widths = [max(map(len, column)) for column in zip(header, *cells)]
-        want.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
+        widths = [max(terminal_cells(h), *map(len, column)) for h, *column in zip(header, *cells)]
+        want.write("  ".join(h.ljust(w - terminal_cells(h) + len(h)) for h, w in zip(header, widths)).rstrip()
+                   + "\n")
         for row in cells:
             want.write("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n")
     assert buf.getvalue() == want.getvalue()
