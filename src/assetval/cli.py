@@ -173,7 +173,12 @@ def _emit_table(out, header: list[str], row: str, n: int, tail: str, cells: Iter
     """(row * n + tail) % cells, money as _fill writes it, each cell right-justified
     under header, in one fill at each column's width: the terminal cells of its
     header or its widest text in widest, the cells of row * 2 + tail. row starts
-    with a period or an age, so a line drops only its template's two-space lead."""
+    with a period or an age, so a line drops only its template's two-space lead.
+    A header's C0 controls and DEL (a --rates token may hold a tab, CR or LF) are
+    written and measured as repr escapes them, so the header stays one line."""
+    if not "".join(header).isprintable():
+        escapes = {c: repr(chr(c))[1:-1] for c in (*range(32), 127)}
+        header = [h.translate(escapes) for h in header]
     sample = _fill(row * 2 + tail, widest)[:-1].split("\n")
     spans = list(map(_display_width, header))
     widths = list(map(max, spans, *(map(len, line.split(",")) for line in sample)))
@@ -280,14 +285,41 @@ def _row_cells(rows: Sequence[tuple[float, float]]) -> list:
     return cells
 
 
-def _batch_json(rec_id: str, cost: float, age: float, value: float, rows: Sequence, pad: str) -> str:
+def _period_text(first: str, row: str) -> Callable[[int], str]:
+    """A batch's period text: text(n) is first, then row once for each period 2..n,
+    each with its period ("%d") written in and its money ("%.4f") left to fill.
+    It is cut from one text that grows to the largest n asked for, by one fill of
+    the periods it lacks; row n's end is computed, so nothing is kept per period,
+    and a cut at the text's end is the text itself, not a copy."""
+    fixed = len(row) - 2  # a row's length without its period
+    base = len(first) - len(row)
+    first, row = first.replace("%.4f", "%%.4f"), row.replace("%.4f", "%%.4f")
+    text, m = first % 1, 1
+
+    def cut(n: int) -> str:
+        nonlocal text, m
+        if n > m:
+            text += row * (n - m) % tuple(range(m + 1, n + 1))
+            m = n
+        d = len(str(n))  # the digits of 1..n: d per period, less 10**k - 1 for each 0 < k < d
+        return text[:base + n * (fixed + d) - (10**d - 1) // 9 + d]
+
+    return cut
+
+
+def _batch_json(texts: dict, rec_id: str, cost: float, age: float, value: float, rows: Sequence,
+                pad: str) -> str:
     """A batch entry as _write_json writes its dict of id, age, value (as _money
-    rounds it) and schedule (as _json_rows writes its _ROW items) at pad."""
+    rounds it) and schedule (as _json_rows writes its _ROW items) at pad. texts
+    maps each pad to the batch's _period_text of the entries at it."""
     inner = pad + "  "
-    template = _item('"value": %.4f,\n"schedule": ', pad) + _json_list(_ROW, len(rows), inner)
-    money = _json_money(template + pad + "}", (value, *_row_cells(rows)), cost)
+    text = texts.get(pad)
+    if text is None:
+        item = _item(_ROW, inner)
+        text = texts[pad] = _period_text(_item('"value": %.4f,\n"schedule": [', pad) + item[1:], item)
+    money = _json_money(text(len(rows)), (value, *chain.from_iterable(rows)), cost)
     # the id and age go in after the cut, which would take zeros from an id such as "1.5000,"
-    return "{" + inner + '"id": ' + _json_str(rec_id) + "," + inner + '"age": ' + repr(age) + money
+    return f'{{{inner}"id": {_json_str(rec_id)},{inner}"age": {age!r}{money}{inner}]{pad}}}'
 
 
 @functools.cache
@@ -299,12 +331,14 @@ def _csv_line() -> Callable[[Iterable], str]:
     return csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
 
 
-def _schedule_csv(rec_id: str, value: float, rows: Sequence[tuple[float, float]]) -> str:
+def _schedule_csv(text: Callable[[int], str], rec_id: str, value: float,
+                  rows: Sequence[tuple[float, float]]) -> str:
     """A batch record's CSV lines, each ending in "\\n": id and value as the csv
     module writes them, then period (from 1), expense and book_value, money as
-    _fill writes it. rows is a schedule's, never empty and all finite."""
+    _fill writes it. rows is a schedule's, never empty and all finite; text is
+    the batch's _period_text of _CSV_ROW."""
     prefix = _csv_line()((rec_id, _fill("%.4f", (value,)), ""))[:-2]  # "id,value,"
-    body = _fill(_CSV_ROW * len(rows), _row_cells(rows))
+    body = _fill(text(len(rows)), chain.from_iterable(rows))
     # the id goes in after the fill, which would change an id holding "-0.0000"
     return prefix + body.replace("\n", "\n" + prefix, len(rows) - 1)
 
@@ -516,17 +550,21 @@ def cmd_batch(args, out) -> int:
                     yield rec_id, *result
 
     entries = checked_entries()
-    with open(fd, "w", encoding="utf-8") if fd is not None else nullcontext(out) as sink:
+    # a 64 KiB buffer for --output, which gets a text per record, each often a few KB
+    with open(fd, "w", encoding="utf-8", buffering=1 << 16) if fd is not None else nullcontext(out) as sink:
         if fd is not None and stat.S_ISREG(os.fstat(fd).st_mode):  # not a device or FIFO
             os.ftruncate(fd, 0)
         # JSON writes "errors" after "entries" and CSV prints it after the
-        # rows, so the list is complete by the time it is written.
+        # rows, so the list is complete by the time it is written. Each record
+        # fills only its money into the periods of one text per batch.
         if args.format == "csv":
             sink.write("id,value,period,expense,book_value\n")
+            text = _period_text(_CSV_ROW, _CSV_ROW)
             for rec_id, _, _, value, rows in entries:
-                sink.write(_schedule_csv(rec_id, value, rows))
+                sink.write(_schedule_csv(text, rec_id, value, rows))
         else:  # a batch report has no table layout: table writes JSON
-            entries = (functools.partial(_batch_json, *entry) for entry in entries)
+            texts: dict = {}
+            entries = (functools.partial(_batch_json, texts, *entry) for entry in entries)
             # errors holds dicts, which _write_json takes only as an iterator
             _emit_json(sink, "batch", {"entries": entries, "errors": iter(errors)}, args.deterministic)
     if args.format == "csv":

@@ -473,6 +473,29 @@ class TestSweep:
         for line in lines:
             assert starts == [0, *(m.end() + 2 for m in re.finditer(r"\S+", line))][:-1]
 
+    @pytest.mark.parametrize("token", ["5\t%", "5\r%", "5\n%", "5\t\r\n\x1f\x0b\x0c%"])
+    def test_table_header_escapes_control_characters(self, token):
+        """A tab, CR, LF or other C0 control in a rate token (float() reads the
+        number around it) is written in the table's header as repr escapes it, so
+        the header is one line and is measured as it is printed: the escaped token
+        starts two cells after the age column ends, and where it is its column's
+        widest text, it ends where the column's cells end. CSV and JSON keep the
+        token as typed."""
+        code, out = run("sweep", "--cost", "100", "--life", "2", "--rates", f"{token},0.1")
+        assert code == 0
+        header, *lines = out.split("\n")[:-1]
+        escaped = repr(token)[1:-1]
+        assert len(lines) == 4 and header.isprintable()
+        assert header.split() == ["age", escaped, "0.1"]
+        start = header.index(escaped)
+        for line in lines:
+            ends = [m.end() for m in re.finditer(r"\S+", line)]
+            assert start == ends[0] + 2
+            if len(escaped) > len("100.0000"):
+                assert ends[1] == start + len(escaped)
+        _, csv_out = run("sweep", "--cost", "100", "--life", "2", "--rates", f"{token},0.1", "--format", "csv")
+        assert next(csv.reader(io.StringIO(csv_out, newline=""))) == ["age", token, "0.1"]
+
     def test_negative_rate_rejected(self, capsys):
         code, _ = run("sweep", "--cost", "100", "--life", "10", "--rates", "-0.1")
         assert code == 2
@@ -795,6 +818,30 @@ class TestBatch:
         header, rows = parse_csv(Path(path).read_text())
         assert header == ["id", "value", "period", "expense", "book_value"]
         assert len(rows) == 10
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_memory_bounded_by_the_longest_schedule(self, tmp_path, fmt):
+        """Records fill their money into one period text per batch, which grows
+        only to the longest schedule and is dropped with the batch: a batch of one
+        record at each lifetime from 1 to 300 peaks less than 512 KiB above its
+        300-period record alone, and an identical second batch no higher than the
+        first. Each peak is traced from the batch's start, after a batch that
+        imports and caches what every batch uses."""
+        every = self.write_registry(tmp_path, "id,cost,lifetime,rate\n"
+                                    + "".join(f"a{life},100,{life},0.05\n" for life in range(1, 301)))
+        alone = self.write_registry(tmp_path, "id,cost,lifetime,rate\na300,100,300,0.05\n", "alone.csv")
+        argv = ["batch", "--format", fmt, "--deterministic", "--input"]
+        assert main([*argv, alone], out=Discard()) == 0
+        peaks = []
+        for path in (alone, every, every):
+            tracemalloc.start()
+            try:
+                assert main([*argv, path], out=Discard()) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 512 * 1024
+        assert peaks[2] <= peaks[1]
 
     def test_csv_output(self, tmp_path):
         path = self.write_registry(

@@ -61,10 +61,13 @@ from assetval import (
 from assetval.cli import (
     COMMANDS,
     METHOD_TOKENS,
+    _CSV_ROW,
     _ROW,
+    _batch_json,
     _batch_record,
     _json_rows,
     _money,
+    _period_text,
     _render,
     _row_cells,
     _schedule_csv,
@@ -669,12 +672,15 @@ def terminal_cells(text):
          "table")  # a fullwidth digit: two cells
 # CJK wider than its cells; a combining accent counts one cell
 @example((["n", "\u6f22\u5b57\u6f22\u5b57\u6f22", "\u0301"], [[1, 1.5, -2.0]], True), "table")
+# controls and DEL, escaped: the header stays one line
+@example((["age", "5\t\r\n%", "\x00\x1f\x7f"], [[1, 1.5, -2.0], ["chord_gap", 0.5, 0.25]], True), "table")
 def test_template_rows_match_per_cell_rendering(shape, fmt):
     """_render's table and CSV from one "%.4f" template per row shape are the
     per-cell rendering: fmt_money cells that csv.reader reads back, written as
     a "\n"-terminated csv.writer writes them where no header cell holds CR
     (which that writer quotes only on some Python versions), or the ljust/rjust
-    table, each header padded to its column's width in terminal cells, or for
+    table, each header's C0 controls and DEL escaped as repr escapes each one
+    and padded to its column's width in terminal cells, or for
     money only one labelled line per cell. The table's widths come from the
     cells that commands pass: _widest's two lines and the chord_gap row's. The
     JSON payload is never built."""
@@ -700,6 +706,7 @@ def test_template_rows_match_per_cell_rendering(shape, fmt):
         for label, cell in zip(header, cells[0]):
             want.write(f"{label.ljust(width)}  {cell}\n" if label else f"{cell}\n")
     else:
+        header = ["".join(repr(c)[1:-1] if c < " " or c == "\x7f" else c for c in h) for h in header]
         widths = [max(terminal_cells(h), *map(len, column)) for h, *column in zip(header, *cells)]
         want.write("  ".join(h.ljust(w - terminal_cells(h) + len(h)) for h, w in zip(header, widths)).rstrip()
                    + "\n")
@@ -732,8 +739,12 @@ def test_batch_csv_rows_written_as_csv_module_writes_them(rec_id, value, rows):
     """Each record's rows read back by csv.reader as its cells, and written as a
     "\n"-terminated csv.writer writes them where the id holds no CR (which that
     writer quotes only on some Python versions)."""
+    assert_csv_record(_schedule_csv(_period_text(_CSV_ROW, _CSV_ROW), rec_id, value, rows), rec_id, value, rows)
+
+
+def assert_csv_record(text, rec_id, value, rows):
+    """text is the record's rows, as csv.reader reads them back and csv.writer writes them."""
     cells = [[rec_id, fmt_money(value), str(n), fmt_money(e), fmt_money(b)] for n, (e, b) in enumerate(rows, 1)]
-    text = _schedule_csv(rec_id, value, rows)
     assert list(csv.reader(io.StringIO(text, newline=""))) == cells
     if "\r" not in rec_id:
         buf = io.StringIO()
@@ -1055,3 +1066,40 @@ def test_batch_json_report_is_json_dumps_of_its_dict_form(records):
     assert code == (3 if payload["errors"] else 0)
     envelope = {"tool_version": __version__, "command": "batch", "payload": payload}
     assert text == json.dumps(envelope, indent=2) + "\n"
+
+
+# Row counts on both sides of 9/10, 99/100 and 999/1,000, where a period gains a digit.
+row_counts = st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]) | st.integers(1, 1100)
+
+
+@st.composite
+def batch_entries(draw):
+    """A record's id, cost, age, value and a few rows, its money within the cost."""
+    cost = draw(batch_costs)
+    money = st.floats(-1.0, 1.0).map(lambda f: f * cost) | st.integers(-(10**7), 10**7).map(
+        lambda k: max(-cost, min(cost, (k + 0.5) / 10_000)))
+    return (draw(batch_ids), cost, draw(st.just(0.0) | st.floats(0.0, 1e6)), draw(money),
+            draw(st.lists(st.tuples(money, money), min_size=1, max_size=3)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(row_counts, min_size=1, max_size=8), st.lists(batch_entries(), min_size=1, max_size=4),
+       st.sampled_from(["\n", "\n      "]))
+@example([1, 10, 9, 1000, 999, 1001, 1001, 100, 99, 101],
+         [("a", 100.0, 0.0, 100.0, [(-4e-5, 5e-5)]), ("1.5000,x", 5e10, 2.5, 5e10, [(-0.00015, 4e10)]),
+          ("0.0000\n", math.nextafter(5e10, 0), 1.0, 0.00005, [(-1.5, 0.00025), (703275009.7726639, -0.0)])],
+         "\n      ")
+@example([1001, 1, 12], [("b", 703275009772.664, 0.0, 703275009772.664, [(-0.00005, 1e11)])], "\n")
+def test_batch_records_share_one_period_text(counts, entries, pad):
+    """Records fed in turn through one batch's period texts, with row counts that
+    grow, shrink and repeat, write each JSON entry as json.dumps(indent=2) writes
+    its dict at pad and each CSV record as the csv module writes its rows."""
+    texts, csv_text = {}, _period_text(_CSV_ROW, _CSV_ROW)
+    for i, n in enumerate(counts):
+        rec_id, cost, age, value, pairs = entries[i % len(entries)]
+        rows = [pairs[k % len(pairs)] for k in range(n)]
+        entry = {"id": rec_id, "age": age, "value": _money(value), "schedule": [
+            {"period": k, "expense": _money(e), "book_value": _money(b)} for k, (e, b) in enumerate(rows, 1)]}
+        assert _batch_json(texts, rec_id, cost, age, value, rows, pad) == json.dumps(entry, indent=2).replace(
+            "\n", pad)
+        assert_csv_record(_schedule_csv(csv_text, rec_id, value, rows), rec_id, value, rows)
