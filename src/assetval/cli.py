@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import functools
 import io
-import json
 import math
 import os
-import re
 import stat
 import sys
+# the C function that json.encoder re-exports as encode_basestring_ascii: bound from
+# _json, writing JSON imports neither json nor the re that json's decoder imports
+from _json import encode_basestring_ascii as _json_str
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import nullcontext
 from itertools import chain
@@ -93,9 +94,6 @@ def parse_asset(cost_token: str, life_token: str) -> AssetSpec:
 def _split(text: str) -> list[str]:
     """The non-blank items of a comma list, stripped."""
     return [t.strip() for t in text.split(",") if t.strip()]
-
-
-_json_str = json.encoder.encode_basestring_ascii
 
 
 def _write_json(write, obj, pad: str = "\n") -> None:
@@ -242,6 +240,8 @@ def _json_money(template: str, cells: Sequence, cost: float) -> str:
     nearest round(x, 4), which repr prints with its trailing zeros cut."""
     if cost >= 5e10:  # %r of each cell; "%d" prints a rounded period as itself
         return template.replace("%.4f", "%r") % tuple(map(_money, cells))
+    import re  # here, so that only a command that writes a money list imports it
+
     return re.sub(_SURPLUS_ZEROS, "", _fill(template, cells))
 
 
@@ -463,6 +463,8 @@ def _load_registry(path: Path) -> list[dict]:
             except csv.Error as exc:  # a cell over csv.field_size_limit(): cmd_batch's parse error
                 raise ValueError(str(exc)) from None
     if suffix == ".json":
+        import json
+
         records = json.loads(path.read_text(encoding="utf-8-sig"))
         if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
             raise CliError("--input: JSON registry must be an array of objects")

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from functools import partial
-from math import exp, expm1, log1p
+from math import exp, expm1, log, log1p, ulp
 from typing import NamedTuple
 
 
@@ -220,16 +220,50 @@ def _value_curve(asset: AssetSpec, rate: DiscountRate, ages: Iterable[float]) ->
 
 def _chord_gap(asset: AssetSpec, rate: DiscountRate, periods: int) -> float:
     """Max over ages 0..periods (the lifetime, whole) of V less its straight-line
-    chord cost * ((life - age) / life), unchecked: _value_curve's operations less the
-    chord's, in one comprehension. Below the switch V is the chord, so the gap is 0.0."""
+    chord cost * ((life - age) / life), unchecked: each age's gap is _value_curve's
+    operations less the chord's. Below the switch V is the chord, so the gap is 0.0.
+
+    Only the ages around the peak are evaluated, and the result is still the max
+    over every age, bit for bit. Write C for the cost as a double, u = 2^-53 (so
+    u*C < ulp(C)) and t = l - a. For the computed g and E < 0 the exact gap
+    f(a) = C*expm1(-t*g)/E - C*t/l is strictly concave in a, with its peak at
+    a* = l + log(-E/(l*g))/g. A computed gap is within D = 9*ulp(C) of f(a):
+
+        V: t*g, rounded, moves expm1 by t*g*exp(-t*g)*u (the accuracy contract's
+           conditioning term (l-a)*g); over |E| >= 1 - exp(-t*g) that is at most
+           u*C in V. expm1 (1 ulp), the quotient and the product add 2u + u + u
+           of V <= C: 5u*C in all.
+        chord: its quotient and product, 2u*C.
+        gap: the subtraction, u*C; the products of u's fit in the ninth ulp.
+
+    The scan starts at a* rounded into 0..periods, walks left, then right, and
+    stops on each side at the first gap below floor = best - S, where best is the
+    largest gap so far and S = 64*ulp(C); floor's own rounding leaves S over 2D,
+    with a factor of 3 to spare. At that age f is below f at best's age, so by
+    concavity f is lower still at every age further out, and each gap there is
+    below floor + 2D < best. The scan's order does not change max: no gap is -0.0,
+    since V >= +0.0. Next to the switch S spans the whole curve, and every age is
+    evaluated."""
     cost, life = asset.cost, asset.lifetime
     g = log1p(rate.rate)
     lg = life * g
     if lg < _STRAIGHT_LINE_BELOW:
         return 0.0
     e = expm1(-lg)
-    return max([cost * (expm1(-((life - age) * g)) / e) - cost * ((life - age) / life)
-                for age in range(periods + 1)])
+    peak = round(life + log(-e / lg) / g)
+    if not 0 <= peak <= periods:  # on the grid whatever log rounds to (min(max()) costs 0.25 us)
+        peak = 0 if peak < 0 else periods
+    slack = 64 * ulp(cost)
+    best = floor = -math.inf
+    for ages in range(peak, -1, -1), range(peak + 1, periods + 1):
+        for age in ages:
+            gap = cost * (expm1(-((life - age) * g)) / e) - cost * ((life - age) / life)
+            if gap > best:
+                best = gap
+                floor = best - slack
+            elif gap < floor:
+                break
+    return best
 
 
 def intrinsic_value(asset: AssetSpec, rate: DiscountRate, age: float) -> Valuation:

@@ -147,7 +147,8 @@ def rate_sweep(asset: AssetSpec, rates: list[DiscountRate]) -> SweepReport:
 def chord_gap(asset: AssetSpec, rate: DiscountRate) -> float:
     """Max gap between the intrinsic value curve and its straight-line chord.
 
-    Evaluated by brute force on the integer age grid; non-negative, and
-    grows with the rate (the curve bows further above the chord).
+    The max over the integer age grid, found by a scan of the ages around the
+    peak that gives the full grid's max bit for bit; non-negative, and grows
+    with the rate (the curve bows further above the chord).
     """
     return _chord_gap(asset, rate, _periods(asset))

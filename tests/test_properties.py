@@ -76,7 +76,7 @@ from assetval.cli import (
     main,
 )
 from assetval.classic import _as_period, _book_curve
-from assetval.core import _STRAIGHT_LINE_BELOW, _chain_cost, _value_curve, check_age
+from assetval.core import _STRAIGHT_LINE_BELOW, _chain_cost, _chord_gap, _value_curve, check_age
 from assetval.schedule import MAX_PERIODS, _book_columns
 
 CLASSIC_BOOK = {
@@ -276,6 +276,46 @@ def test_value_curve_equals_the_point_path_bit_for_bit(inputs, fractions):
         map(float.hex, values))
     gap = max(v - asset.cost * ((life - a) / life) for a, v in enumerate(values))
     assert float.hex(chord_gap(asset, rate)) == float.hex(gap)
+
+
+def full_grid_gap(asset, rate, periods):
+    """_chord_gap's per-age gap at every age 0..periods, and their max."""
+    cost, life = asset.cost, asset.lifetime
+    g = math.log1p(rate.rate)
+    e = math.expm1(-(life * g))
+    return max([cost * (math.expm1(-((life - age) * g)) / e) - cost * ((life - age) / life)
+                for age in range(periods + 1)])
+
+
+@st.composite
+def chord_inputs(draw):
+    """Lifetime 1 to 1e5 (int or whole float, uniform or log-uniform), rate
+    log-uniform from just above l*log1p(r) = 2^-53 (the straight-line switch)
+    to 30, and int or float cost from 1e-6 to 1.7e308."""
+    life = draw(st.integers(1, 10**5) | st.floats(0, 5).map(lambda x: round(10**x)))
+    exponent = draw(st.floats(math.log10(_STRAIGHT_LINE_BELOW / life) + 1e-12, math.log10(30)))
+    rate = min(10**exponent, 30.0)
+    assume(life * math.log1p(rate) >= _STRAIGHT_LINE_BELOW)
+    cost = draw(st.integers(1, 10**308) | spread(1e-6, 1.7e308))
+    return AssetSpec(cost, draw(st.sampled_from([life, float(life)]))), DiscountRate(rate)
+
+
+@SETTINGS
+@given(chord_inputs())
+@example((AssetSpec(100, 1), DiscountRate(0.2)))
+@example((AssetSpec(100, 2), DiscountRate(0.2)))
+@example((AssetSpec(100, 10), DiscountRate(30)))  # the peak at age 9, l - 1
+@example((AssetSpec(7, 10), DiscountRate(2.2745080215936715e-17)))  # the peak rounds to age 0
+@example((AssetSpec(1.7e308, 2), DiscountRate(1e300)))  # the peak rounds to age l
+@example((AssetSpec(100, 10**5), DiscountRate(1e-20)))  # flat: every age within the slack
+@example((AssetSpec(10**308, 10**5), DiscountRate(1.2e-21)))  # flat, the peak at l
+@example((AssetSpec(1e-6, 4000.0), DiscountRate(2.0**-53 / 4000 * 1.001)))  # just above the switch
+def test_chord_gap_scan_equals_the_full_grid_max(inputs):
+    """_chord_gap, which evaluates only the ages around the peak, is the max of
+    the same per-age gap over every age, bit for bit."""
+    asset, rate = inputs
+    periods = int(asset.lifetime)
+    assert float.hex(_chord_gap(asset, rate, periods)) == float.hex(full_grid_gap(asset, rate, periods))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 
 import pytest
 
@@ -286,7 +287,7 @@ class TestChordGap:
         assert chord_gap(ASSET, DiscountRate(1e-9)) == pytest.approx(0, abs=1e-4)
 
     def test_paper_rate_gap(self):
-        # brute force over integer ages puts the max at age 6
+        # the max over the integer ages is at age 6
         gap = chord_gap(ASSET, R20)
         assert gap == pytest.approx(21.747210597375947, rel=1e-10)
 
@@ -297,10 +298,27 @@ class TestChordGap:
 
     @pytest.mark.parametrize("rate", [R20, DiscountRate(0)])
     def test_frames_do_not_grow_with_the_lifetime(self, entered, rate):
-        # one comprehension over the ages, with no generator frame resumed per age
+        # one loop over the ages it scans, in _chord_gap's own frame: no frame per age
         codes = entered(chord_gap, AssetSpec(100, 1), rate)
         assert codes[0] is chord_gap.__code__ and _chord_gap.__code__ in codes
-        assert entered(chord_gap, AssetSpec(100, 1000), rate) == codes
+        for lifetime in (1000, 1e6):
+            assert entered(chord_gap, AssetSpec(100, lifetime), rate) == codes
+
+    def test_only_the_ages_around_the_peak_are_evaluated(self):
+        """One expm1 for E and one per age scanned: a handful at 1,000,000 periods,
+        where the full grid makes 1,000,001."""
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and arg is math.expm1:
+                calls.append(arg)
+
+        sys.setprofile(profile)
+        try:
+            chord_gap(AssetSpec(100, 1e6), DiscountRate(0.05))
+        finally:
+            sys.setprofile(None)
+        assert 2 <= len(calls) <= 16
 
 
 class TestTradeSurplus:
