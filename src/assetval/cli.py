@@ -325,10 +325,11 @@ def _batch_json(texts: dict, rec_id: str, cost: float, age: float, value: float,
 @functools.cache
 def _csv_line() -> Callable[[Iterable], str]:
     """The writerow of every CSV line's writer (headers, batch prefixes), returning the row's
-    text; with a "\r\n" terminator, every Python version quotes a cell holding CR or LF."""
-    import csv
+    text; with a "\r\n" terminator, every Python version quotes a cell holding CR or LF.
+    csv.writer is _csv.writer, whose defaults are the excel dialect's; csv would import re."""
+    from _csv import writer
 
-    return csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+    return writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
 
 
 def _schedule_csv(text: Callable[[int], str], rec_id: str, value: float,
