@@ -5,7 +5,9 @@ schedules the CLI accepts. Each row spawns one run in a wrapper process that
 spawns nothing else, so the wrapper's RUSAGE_CHILDREN peak is that run's own.
 A row fails unless its run exits 0 within 120 s with an empty stderr, prints
 what the row expects and peaks within its memory ceiling: the row's reading,
-taken on Python 3.11.7, plus 25%, rounded up to 10 MB. Every run works in
+taken on Python 3.11.7, plus 25%, rounded up to 10 MB. Two more rows close
+the SL JSON schedule's pipe after 100 bytes, under an unbuffered stdout and
+a buffered one, and need exit 141 with an empty stderr. Every run works in
 tmp_path, so nothing is written to the checkout. The runs get PYTHONPATH from
 this file's checkout and the rest of the environment as it is, so this works
 from any directory; pyproject's testpaths keeps it out of a plain pytest.
@@ -79,7 +81,7 @@ RUNS = [
     ("schedule --method sl", "csv", 259, text(1000001, "1000000,-0.0001,0.0000")),
     ("schedule --method ddb", "csv", 259, text(1000001, "1000000,0.0000,13.5335")),
     ("schedule --method syd", "csv", 259, text(1000001, "1000000,0.0000,0.0000")),
-    ("sweep --rates 0.05", "csv", 176, text(1000003, "chord_gap,99.9758")),
+    ("sweep --rates 0.05", "csv", 137, text(1000003, "chord_gap,99.9758")),
     ("compare --methods sl,intrinsic --rate 0.05", "csv", 180,
      text(1000001, "1000000,0.0000,0.0000")),
     ("compare --methods sl,ddb,syd,intrinsic --rate 0.05", "csv", 297,
@@ -87,7 +89,7 @@ RUNS = [
     ("schedule --method sl", "table", 281, text(1000001, "1000000  -0.0001      0.0000")),
     ("compare --methods sl,ddb,syd,intrinsic --rate 0.05", "table", 309,
      text(1000001, "1000000   0.0000  13.5335   0.0000     0.0000")),
-    ("sweep --rates 0.05", "table", 176, text(1000003, "chord_gap   99.9758")),
+    ("sweep --rates 0.05", "table", 137, text(1000003, "chord_gap   99.9758")),
     ("schedule --method sl --deterministic", "json", 580,
      payload(lambda p: (len(p["rows"]), p["rows"][-1]),
              (1000000, {"period": 1000000, "expense": -0.0001, "book_value": 0.0}))),
@@ -95,7 +97,7 @@ RUNS = [
      payload(lambda p: (len(p["periods"]), p["periods"][-1],
                         [(len(b), b[-1]) for b in p["book_values"].values()]),
              (1000000, 1000000, [(1000000, 0.0), (1000000, 13.5335), (1000000, 0.0), (1000000, 0.0)]))),
-    ("sweep --rates 0.05,0.2 --deterministic", "json", 303,
+    ("sweep --rates 0.05,0.2 --deterministic", "json", 265,
      payload(lambda p: (len(p["ages"]), p["ages"][-1], p["chord_gap"],
                         [(len(v), v[-1]) for v in p["values"].values()]),
              (1000001, 1000000, {"0.05": 99.9758, "0.2": 99.9928}, [(1000001, 0.0)] * 2))),
@@ -119,6 +121,26 @@ def test_max_periods_run(tmp_path, flags, fmt, mb, check):
     stdout, peak = run(tmp_path, "-m", "assetval.cli", *flags.split(), *size, "--format", fmt)
     check(tmp_path / "report" if "--output" in flags else stdout, fmt)
     assert peak <= ceiling(mb)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_max_periods_closed_pipe_exits_141(tmp_path, unbuffered):
+    """The SL JSON schedule into a reader that closes the pipe after 100 bytes:
+    with PYTHONUNBUFFERED=1 and with it unset, the run exits 141 within 120 s
+    with an empty stderr."""
+    env = {k: v for k, v in {**ENV, "PYTHONUNBUFFERED": unbuffered}.items() if v is not None}
+    argv = ["-m", "assetval.cli", "schedule", *LONG, "--method", "sl", "--format", "json", "--deterministic"]
+    with open(tmp_path / "stderr", "wb") as stderr:
+        proc = subprocess.Popen([sys.executable, *argv], cwd=tmp_path, env=env,
+                                stdout=subprocess.PIPE, stderr=stderr)
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 141
+        finally:
+            proc.kill()  # a no-op once the run has exited
+            proc.wait()
+    assert (tmp_path / "stderr").read_bytes() == b""
 
 
 # chord_gap scans only the ages around its peak: at MAX_PERIODS it is the full

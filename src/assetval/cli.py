@@ -28,15 +28,14 @@ from _json import encode_basestring_ascii as _json_str
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import nullcontext
 from itertools import chain
-from operator import itemgetter, sub
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .classic import Method, _book_curve
+from .classic import Method
 from .core import AssetSpec, DiscountRate, InvalidInput, delayed_present_cost, intrinsic_value, present_cost
-# chord_gap, compare_methods and trade_surplus are not called here; the benchmark's tracer
-# patches them by name
+# compare_methods is not called here; the benchmark's tracer patches it by name
 from .schedule import (MAX_PERIODS, _book_columns, build_schedule, chord_gap, compare_methods,
                        rate_sweep, trade_surplus)
 
@@ -86,9 +85,7 @@ def parse_rate(token: str, flag: str) -> DiscountRate:
 
 
 def parse_asset(cost_token: str, life_token: str) -> AssetSpec:
-    cost = _parse_number(cost_token, "--cost")
-    life = _parse_number(life_token, "--life")
-    return AssetSpec(cost=cost, lifetime=life)
+    return AssetSpec(cost=_parse_number(cost_token, "--cost"), lifetime=_parse_number(life_token, "--life"))
 
 
 def _split(text: str) -> list[str]:
@@ -166,17 +163,23 @@ def _display_width(text: str) -> int:
     return sum(2 if east_asian_width(c) in ("W", "F") else 1 for c in text)
 
 
+@functools.cache
+def _line_escapes() -> dict[int, str]:
+    """str.translate's table for text kept on one line (table headers, batch CSV's stderr): C0,
+    DEL, NEL, U+2028 and U+2029, all that str.splitlines() ends a line at, each as repr writes it."""
+    return {c: repr(chr(c))[1:-1] for c in (*range(32), 127, 0x85, 0x2028, 0x2029)}
+
+
 def _emit_table(out, header: list[str], row: str, n: int, tail: str, cells: Iterable,
                 widest: Sequence) -> None:
     """(row * n + tail) % cells, money as _fill writes it, each cell right-justified
     under header, in one fill at each column's width: the terminal cells of its
     header or its widest text in widest, the cells of row * 2 + tail. row starts
     with a period or an age, so a line drops only its template's two-space lead.
-    A header's C0 controls and DEL (a --rates token may hold a tab, CR or LF) are
-    written and measured as repr escapes them, so the header stays one line."""
+    A header (a --rates token may hold a tab, CR, LF or U+2028) is written and
+    measured through _line_escapes, so it stays one line."""
     if not "".join(header).isprintable():
-        escapes = {c: repr(chr(c))[1:-1] for c in (*range(32), 127)}
-        header = [h.translate(escapes) for h in header]
+        header = [h.translate(_line_escapes()) for h in header]
     sample = _fill(row * 2 + tail, widest)[:-1].split("\n")
     spans = list(map(_display_width, header))
     widths = list(map(max, spans, *(map(len, line.split(",")) for line in sample)))
@@ -268,8 +271,6 @@ def _json_rows(cells: Sequence, cost: float, row: str = "%.4f") -> Callable[[str
 
 _ROW = '{\n  "period": %d,\n  "expense": %.4f,\n  "book_value": %.4f\n}'  # a schedule row
 _CSV_ROW = "%d,%.4f,%.4f\n"  # a schedule row's CSV line
-
-
 _EXPENSE, _BOOK = itemgetter(0), itemgetter(1)  # a schedule row's cells
 
 
@@ -412,8 +413,7 @@ def cmd_sweep(args, out) -> int:
     rates = [parse_rate(t, "--rates") for t in tokens]
     values = rate_sweep(asset, rates).values
     ages = range(len(values[0]))
-    chord = _book_curve(asset, Method.STRAIGHT_LINE, ages)
-    gaps = [max(map(sub, curve, chord)) for curve in values]  # bit for bit as chord_gap
+    gaps = [chord_gap(asset, r) for r in rates]
     row = ",%.4f" * len(gaps) + "\n"
     _render(out, args, "sweep", ["age"] + tokens, "%d" + row,
             chain(chain.from_iterable(zip(ages, *values)), gaps),
@@ -432,7 +432,7 @@ def cmd_surplus(args, out) -> int:
     age = _parse_number(args.age, "--age")
     buyer_value = intrinsic_value(asset, buyer, age).amount
     seller_value = intrinsic_value(asset, seller, age).amount
-    surplus = buyer_value - seller_value  # bit for bit as trade_surplus
+    surplus = trade_surplus(asset, age, seller, buyer)
     header = ["buyer_value", "seller_value", "surplus"]
     _render(out, args, "surplus", header, "%.4f,%.4f,%.4f\n", (buyer_value, seller_value, surplus),
             lambda: {"age": age, "seller_rate": seller.rate, "buyer_rate": buyer.rate,
@@ -572,8 +572,7 @@ def cmd_batch(args, out) -> int:
             _emit_json(sink, "batch", {"entries": entries, "errors": iter(errors)}, args.deterministic)
     if args.format == "csv":
         for err in errors:  # one line each, whatever the id holds
-            rec_id = err["id"].replace("\r", "\\r").replace("\n", "\\n")
-            print(f"{rec_id}: {err['reason']}", file=sys.stderr)
+            print(f"{err['id'].translate(_line_escapes())}: {err['reason']}", file=sys.stderr)
     return 3 if errors else 0
 
 

@@ -473,17 +473,19 @@ class TestSweep:
         for line in lines:
             assert starts == [0, *(m.end() + 2 for m in re.finditer(r"\S+", line))][:-1]
 
-    @pytest.mark.parametrize("token", ["5\t%", "5\r%", "5\n%", "5\t\r\n\x1f\x0b\x0c%"])
+    @pytest.mark.parametrize("token", ["5\t%", "5\r%", "5\n%", "5\t\r\n\x1f\x0b\x0c%",
+                                       "5\u2028%", "5\x85%", "5\u2029%"])
     def test_table_header_escapes_control_characters(self, token):
-        """A tab, CR, LF or other C0 control in a rate token (float() reads the
-        number around it) is written in the table's header as repr escapes it, so
-        the header is one line and is measured as it is printed: the escaped token
-        starts two cells after the age column ends, and where it is its column's
-        widest text, it ends where the column's cells end. CSV and JSON keep the
-        token as typed."""
+        """A tab, CR, LF, other C0 control, NEL, U+2028 or U+2029 in a rate token
+        (float() reads the number around it) is written in the table's header as
+        repr escapes it, so the header is one line, also to str.splitlines(), and
+        is measured as it is printed: the escaped token starts two cells after
+        the age column ends, and where it is its column's widest text, it ends
+        where the column's cells end. CSV and JSON keep the token as typed."""
         code, out = run("sweep", "--cost", "100", "--life", "2", "--rates", f"{token},0.1")
         assert code == 0
         header, *lines = out.split("\n")[:-1]
+        assert out.splitlines() == [header, *lines]
         escaped = repr(token)[1:-1]
         assert len(lines) == 4 and header.isprintable()
         assert header.split() == ["age", escaped, "0.1"]
@@ -502,8 +504,8 @@ class TestSweep:
         assert "--rates" in capsys.readouterr().err
 
     def test_each_value_evaluated_once(self, monkeypatch):
-        """The chord gaps come from the values the sweep prints: one value curve
-        of 11 ages per rate."""
+        """The sweep's values are one value curve of 11 ages per rate; its chord
+        gaps, chord_gap's own, evaluate none."""
         ages = []
         value_curve = schedule._value_curve
 
@@ -515,6 +517,21 @@ class TestSweep:
         code, _ = run("sweep", "--cost", "100", "--life", "10", "--rates", "0.05,0.2")
         assert code == 0
         assert ages == [11, 11]
+
+    def test_gaps_are_chord_gap_calls(self, monkeypatch):
+        """Each --rates token's gap, a repeated one included, is one chord_gap call on its rate."""
+        calls = []
+
+        def counted(asset, rate):
+            calls.append(rate.rate)
+            return schedule.chord_gap(asset, rate)
+
+        monkeypatch.setattr(cli, "chord_gap", counted)
+        for fmt in ("csv", "table", "json"):
+            calls.clear()
+            code, _ = run("sweep", "--cost", "100", "--life", "10", "--rates", "0.05,0.2,5%", "--format", fmt)
+            assert code == 0
+            assert calls == [0.05, 0.2, 0.05]
 
 
 class TestSurplus:
@@ -547,7 +564,8 @@ class TestSurplus:
         assert rows[0][2] == "0.0000"
 
     def test_two_valuations(self, monkeypatch):
-        """The surplus is the difference of the two values it prints."""
+        """The two values it prints are one intrinsic_value call each; the
+        surplus, trade_surplus's own, makes none."""
         calls = []
 
         def counted(*args):
@@ -560,6 +578,22 @@ class TestSurplus:
                       "--seller-rate", "0.05", "--buyer-rate", "0.2")
         assert code == 0
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_surplus_is_one_trade_surplus_call(self, monkeypatch, fmt):
+        """The surplus is one trade_surplus call on the asset, the age and the seller's and buyer's rates."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return core.trade_surplus(*args)
+
+        monkeypatch.setattr(cli, "trade_surplus", counted)
+        code, _ = run("surplus", "--cost", "100", "--life", "10", "--age", "5",
+                      "--seller-rate", "0.05", "--buyer-rate", "0.2", "--format", fmt)
+        assert code == 0
+        assert [(asset.cost, age, seller.rate, buyer.rate) for asset, age, seller, buyer in calls] == [
+            (100.0, 5.0, 0.05, 0.2)]
 
 
 @pytest.mark.parametrize("lifetime", ["1e20", "1000001"])
@@ -876,6 +910,18 @@ class TestBatch:
         assert code == 3
         assert json.loads(out)["payload"]["errors"] == [
             {"id": "a\nb", "reason": reason}, {"id": "c\rd", "reason": reason}]
+
+    def test_csv_error_id_escaped_at_every_line_end(self, tmp_path, capsys):
+        """An id's VT, tab, NEL and U+2028 are written to stderr as repr writes
+        them, so str.splitlines() reads one line per error."""
+        ids = ["a\u2028b", "c\x0bd", "e\x85f", "g\th"]
+        path = tmp_path / "assets.json"
+        path.write_text(json.dumps([{"id": i, "cost": "x", "lifetime": 2, "rate": 0.2} for i in ids]))
+        code, _ = run("batch", "--input", str(path), "--format", "csv")
+        assert code == 3
+        reason = "cost: cannot parse number 'x'"
+        assert capsys.readouterr().err.splitlines() == [
+            f"a\\u2028b: {reason}", f"c\\x0bd: {reason}", f"e\\x85f: {reason}", f"g\\th: {reason}"]
 
     def test_entries_stream_as_computed(self, tmp_path, monkeypatch):
         path = self.write_registry(

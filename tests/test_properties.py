@@ -694,6 +694,11 @@ def table_shapes(draw):
     return header, rows, lead
 
 
+def one_line(text):
+    """text with each C0 control, DEL, NEL, U+2028 and U+2029 written as repr writes it."""
+    return "".join(repr(c)[1:-1] if c < " " or c in "\x7f\x85\u2028\u2029" else c for c in text)
+
+
 def terminal_cells(text):
     """The terminal cells that text takes: two for each East Asian wide or fullwidth character."""
     return len(text) + sum(unicodedata.east_asian_width(c) in ("W", "F") for c in text)
@@ -712,16 +717,18 @@ def terminal_cells(text):
          "table")  # a fullwidth digit: two cells
 # CJK wider than its cells; a combining accent counts one cell
 @example((["n", "\u6f22\u5b57\u6f22\u5b57\u6f22", "\u0301"], [[1, 1.5, -2.0]], True), "table")
-# controls and DEL, escaped: the header stays one line
+# controls, DEL and the other line ends of str.splitlines, escaped: the header stays one line
 @example((["age", "5\t\r\n%", "\x00\x1f\x7f"], [[1, 1.5, -2.0], ["chord_gap", 0.5, 0.25]], True), "table")
+@example((["age", "5\u2028%", "\x0b\x0c\x1c\x85\u2029"], [[1, 1.5, -2.0]], True), "table")
 def test_template_rows_match_per_cell_rendering(shape, fmt):
     """_render's table and CSV from one "%.4f" template per row shape are the
     per-cell rendering: fmt_money cells that csv.reader reads back, written as
     a "\n"-terminated csv.writer writes them where no header cell holds CR
     (which that writer quotes only on some Python versions), or the ljust/rjust
-    table, each header's C0 controls and DEL escaped as repr escapes each one
-    and padded to its column's width in terminal cells, or for
-    money only one labelled line per cell. The table's widths come from the
+    table, each header's C0 controls, DEL, NEL, U+2028 and U+2029 escaped as
+    repr escapes each one (so str.splitlines() reads one header line) and
+    padded to its column's width in terminal cells, or for money only one
+    labelled line per cell. The table's widths come from the
     cells that commands pass: _widest's two lines and the chord_gap row's. The
     JSON payload is never built."""
     header, rows, lead = shape
@@ -746,7 +753,7 @@ def test_template_rows_match_per_cell_rendering(shape, fmt):
         for label, cell in zip(header, cells[0]):
             want.write(f"{label.ljust(width)}  {cell}\n" if label else f"{cell}\n")
     else:
-        header = ["".join(repr(c)[1:-1] if c < " " or c == "\x7f" else c for c in h) for h in header]
+        header = list(map(one_line, header))
         widths = [max(terminal_cells(h), *map(len, column)) for h, *column in zip(header, *cells)]
         want.write("  ".join(h.ljust(w - terminal_cells(h) + len(h)) for h, w in zip(header, widths)).rstrip()
                    + "\n")
@@ -967,10 +974,13 @@ def test_command_tables_are_their_csv_cells_right_justified(command, methods, co
 @example(100.0, 10, [0.05, 0.2], 0.5)
 @example(5e-324, 1, [0.0, 5e-324], 0.5)
 @example(sys.float_info.max, 400, [1e3, 0.0, 5e-324, 1e-20], 0.25)
+# the largest rate on the straight line (l*log1p(r) < 2**-53) and the smallest above it,
+# where _chord_gap scans every age
+@example(100.0, 400, [2.775557561562891e-19, 2.7755575615628914e-19], 0.5)
+@example(sys.float_info.max, 7, [1.586032892321652e-17, 1.5860328923216518e-17], 0.75)
 def test_sweep_gaps_and_surplus_match_the_library(cost, life, rate_list, fraction):
-    """sweep's chord gaps, taken from the values it prints, and surplus, the
-    difference of the two values it prints, are what chord_gap and
-    trade_surplus compute, as JSON and CSV write them."""
+    """sweep's chord gaps and surplus's surplus are the library's chord_gap and
+    trade_surplus of the same inputs, as JSON and CSV write them."""
     asset = AssetSpec(cost, float(life))
     tokens = [repr(r) for r in rate_list]
     gaps = [chord_gap(asset, DiscountRate(r)) for r in rate_list]
@@ -995,9 +1005,11 @@ def test_sweep_gaps_and_surplus_match_the_library(cost, life, rate_list, fractio
 @given(st.lists(st.tuples(st.text(), spread(1e-6, sys.float_info.max), st.integers(1, 30), rates),
                 max_size=5))
 @example([("a\rb", 100.0, 3, 0.0), ("c\nd", sys.float_info.max, 2, 0.2), (" a\rb ", 1e-6, 1, 0.1)])
+@example([(i, 100.0, 2, 0.1) for i in ("a\u2028b", "c\x0bd", "e\x85f", "g\th")] * 2)  # four duplicates
 def test_batch_csv_cells_match_json_payload(records):
     """batch --format csv reads back as the JSON payload's entries, and
-    prints one stderr line per error."""
+    prints one stderr line per error, which str.splitlines() reads as one:
+    the id with its line ends and C0 controls escaped, then the reason."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "registry.json")
         path.write_text(json.dumps([{"id": i, "cost": c, "lifetime": l, "rate": r}
@@ -1014,7 +1026,8 @@ def test_batch_csv_cells_match_json_payload(records):
     assert header == ["id", "value", "period", "expense", "book_value"]
     assert [len(row) for row in cells] == [len(row) for row in values]
     assert all(same_cell(c, v) for row, want in zip(cells, values) for c, v in zip(row, want))
-    assert stderr.getvalue().count("\n") == len(payload["errors"])
+    assert stderr.getvalue().splitlines() == [f"{one_line(e['id'])}: {e['reason']}"
+                                              for e in payload["errors"]]
 
 
 @SETTINGS
