@@ -278,9 +278,13 @@ SCHEDULE = ["schedule", "--cost", "100", "--life", "20000", "--method", "sl", "-
 def test_closed_pipe_exits_141_quietly(tmp_path, argv, unbuffered):
     """A reader that closes the pipe after the first line and 128 KiB more, more
     than a pipe buffers (64 KiB) before the end, leaves exit 141 and an empty
-    stderr. The last write is then blocked part way when the pipe closes: an
-    unbuffered stdout (PYTHONUNBUFFERED, python -u) would report it a success,
-    with exit 0, were it not for main's own writer."""
+    stderr. In the schedule CSV and table cases the pipe closes part way
+    through the last write: an unbuffered stdout (PYTHONUNBUFFERED, python -u)
+    would report it a success, with exit 0, were it not for main's own writer,
+    so their unbuffered cases pin that writer. The JSON and batch cases write
+    more text after the long write, and that write raises, so they pin only
+    the exit and the empty stderr. A child still running when a check fails
+    is killed, so the case fails at once."""
     registry = tmp_path / "assets.csv"
     registry.write_text(LONG_REGISTRY)
     argv = [a.replace("{registry}", str(registry)) for a in argv]
@@ -289,11 +293,14 @@ def test_closed_pipe_exits_141_quietly(tmp_path, argv, unbuffered):
     with subprocess.Popen([sys.executable, "-m", "assetval.cli", *argv],
                           env=env_with(PYTHONUNBUFFERED=unbuffered),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline() == text[:text.index("\n") + 1].encode()
-        proc.stdout.read(128 * 1024)
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 141
-        assert proc.stderr.read() == b""
+        try:
+            assert proc.stdout.readline() == text[:text.index("\n") + 1].encode()
+            proc.stdout.read(128 * 1024)
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()  # a no-op once the child has exited
 
 
 def test_unbuffered_stdout_gets_main_output_after_earlier_text(tmp_path):
