@@ -1,6 +1,7 @@
 """Properties checked with Hypothesis: the closed forms and schedules over
 wide input ranges, point valuations and classical book values bit for bit
 (or fault for fault) against the helper calls they were composed of,
+interleaved intrinsic_depreciation calls against its body without the memo,
 schedule rows bit for bit against a per-period loop, the value curve,
 rate_sweep and chord_gap bit for bit against the point path, the classical
 book curves against the book functions, compare's columns against the
@@ -37,6 +38,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from assetval import (
+    AgeOrderViolation,
     AgeOutOfRange,
     AssetSpec,
     DiscountRate,
@@ -463,6 +465,88 @@ def test_point_valuations_equal_their_composed_forms(inputs):
         composed_delayed_present_cost, asset, rate, age)
     assert outcome(present_cost, asset, rate) == outcome(
         lambda a, r: Valuation(_chain_cost(a, r, 0.0, "present cost")), asset, rate)
+
+
+def memo_free_depreciation(asset, rate, age_start, age_end):
+    """intrinsic_depreciation as it was before its memo, with g, E and the span's
+    factor computed on every call: the reference that each call must equal."""
+    life = asset.lifetime
+    if not 0 <= age_start <= age_end <= life:
+        check_age(asset, age_start, name="age_start")
+        check_age(asset, age_end, name="age_end")
+        raise AgeOrderViolation(f"age_end ({age_end}) precedes age_start ({age_start})")
+    g = math.log1p(rate.rate)
+    lg = life * g
+    span = age_end - age_start
+    if lg >= _STRAIGHT_LINE_BELOW:
+        return -asset.cost * math.exp(-(life - age_end) * g) * math.expm1(-span * g) / math.expm1(-lg)
+    return -asset.cost * (span / life)
+
+
+@st.composite
+def depreciation_calls(draw):
+    """A sequence of intrinsic_depreciation calls, (asset, rate, age_start, age_end).
+
+    Two or three assets of different lifetimes share one to three rates: 0, the
+    usual range, and the 2^-53 straight-line switch of each lifetime with a
+    neighbour on each side. Each call takes its asset and rate as the drawn object
+    or as a new one with equal fields. Its ages are int or float: a whole period
+    (span 1), a span of 0.5 or 0.25 from a whole age, fractions of the lifetime, a
+    zero span (+0.0, or -0.0 from 0.0 to -0.0), an earlier call's ages again, or a
+    fault (NaN, infinite, negative, reversed or above the lifetime)."""
+    lives = draw(st.lists(st.integers(1, 600) | st.integers(1, 600).map(float) | lifetimes,
+                          min_size=2, max_size=3, unique=True))
+    assets = [AssetSpec(draw(costs | st.sampled_from([100, 1.7e308])), life) for life in lives]
+    switches = [math.expm1(2.0**-53 / life) * (1 + k * 2.0**-52) for life in lives for k in (-1, 0, 1)]
+    shared = [DiscountRate(r) for r in draw(st.lists(
+        st.just(0.0) | rates | st.sampled_from(switches), min_size=1, max_size=3))]
+    calls = []
+    for _ in range(draw(st.integers(1, 16))):
+        asset, rate = draw(st.sampled_from(assets)), draw(st.sampled_from(shared))
+        if draw(st.integers(0, 3)) == 0:
+            asset = AssetSpec(asset.cost, asset.lifetime)
+        if draw(st.integers(0, 3)) == 0:
+            rate = DiscountRate(rate.rate)
+        life = asset.lifetime
+        whole = draw(st.integers(0, max(int(life) - 1, 0)))
+        start = draw(fractions) * life
+        end = min(start + draw(fractions) * (life - start), life)
+        ages = draw(st.just((whole, whole + 1))
+                    | st.sampled_from([(whole, whole + 0.5), (whole, whole + 0.25), (start, end)])
+                    | st.sampled_from([(start, start), (whole, whole), (0.0, -0.0), (-0.0, 0.0),
+                                       (life, life)])
+                    | st.sampled_from([(math.nan, life), (0, math.inf), (-1.0, 0), (1, 0.5),
+                                       (0, 2.0 * life)])
+                    | st.sampled_from([c[2:] for c in calls] or [(0, 1)]))
+        if draw(st.booleans()):
+            ages = tuple(map(float, ages))
+        calls.append((asset, rate, *ages))
+    return calls
+
+
+def depreciation_outcome(depreciation, *args):
+    """float.hex of the expense, or the fault's class, field and message."""
+    try:
+        return float.hex(depreciation(*args))
+    except InvalidInput as exc:
+        return type(exc), exc.field, str(exc)
+
+
+_MEMO_ASSET, _MEMO_RATE = AssetSpec(100, 10), DiscountRate(0.2)
+
+
+@SETTINGS
+@given(depreciation_calls())
+@example([(_MEMO_ASSET, _MEMO_RATE, 0, 1), (AssetSpec(100, 20), _MEMO_RATE, 0, 1)])
+@example([(_MEMO_ASSET, _MEMO_RATE, 0.0, -0.0), (_MEMO_ASSET, _MEMO_RATE, 3.0, 3.0)])
+@example([(_MEMO_ASSET, _MEMO_RATE, 1, 2), (_MEMO_ASSET, _MEMO_RATE, 5, 4),
+          (_MEMO_ASSET, DiscountRate(0.05), 1, 2), (_MEMO_ASSET, _MEMO_RATE, 2, 3)])
+def test_depreciation_calls_equal_the_memo_free_body(calls):
+    """However calls interleave assets, rates, spans and faults, each equals the
+    memo-free body by float.hex or by fault."""
+    for call in calls:
+        assert depreciation_outcome(intrinsic_depreciation, *call) == depreciation_outcome(
+            memo_free_depreciation, *call)
 
 
 def composed_straight_line(asset, age):

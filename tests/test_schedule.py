@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import threading
 
 import pytest
 
@@ -104,6 +105,53 @@ class TestBuildSchedule:
         else:
             assert calls == [(n,) for n in range(1, 8)]
         assert len(rows) == 7
+
+    def test_invariants_computed_once_per_schedule(self):
+        """log1p(r), E and the one-period factor are computed once per schedule, not
+        once per row: intrinsic_depreciation keeps them from its last call. At 1,000
+        periods the per-row calls made 1,001 log1p and 3,001 expm1 calls."""
+        periods = 1000
+        calls = {math.log1p: 0, math.expm1: 0}
+
+        def profile(frame, event, arg):
+            if event == "c_call" and arg in calls:
+                calls[arg] += 1
+
+        sys.setprofile(profile)
+        try:
+            build_schedule(AssetSpec(100, periods), Method.INTRINSIC, DiscountRate(0.05))
+        finally:
+            sys.setprofile(None)
+        # one log1p and one expm1 for the value curve's g and E, one expm1 per book;
+        # one log1p and two expm1 for the first row's g, E and factor
+        assert calls[math.log1p] <= 2
+        assert calls[math.expm1] <= periods + 3
+
+    def test_threads_sharing_a_rate_build_the_same_rows(self):
+        """Two threads build schedules of different assets at one rate object, with a
+        thread switch every microsecond, so their calls keep replacing each other's
+        intrinsic_depreciation memo entry; each still gets the rows of one thread."""
+        rate = DiscountRate(0.07)
+        assets = [AssetSpec(100, 20_000), AssetSpec(2.5e3, 15_000.0)]
+        want = [build_schedule(asset, Method.INTRINSIC, rate).rows for asset in assets]
+        got = [[], []]
+
+        def build(i):
+            for _ in range(3):
+                got[i].append(build_schedule(assets[i], Method.INTRINSIC, rate).rows)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[want[0]] * 3, [want[1]] * 3]
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_rows_are_immutable_named_tuples(self, method):
