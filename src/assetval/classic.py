@@ -8,6 +8,10 @@ factor 2/l is capped at 1, so at l = 1 it writes the asset off to 0.
 
 A schedule calls a book function once per row, and a call per check costs
 more than the formula, so one chained test guards each and only a fault calls a check.
+What is fixed for a lifetime (DDB's log1p(-q), SYD's int(lifetime) and digit sum)
+comes from a one-entry memo of the last call's asset, kept like core._last_drop:
+one tuple, keyed on the asset object (immutable, so the values are the ones the
+call would compute), read only after the guard passes and replaced whole on a miss.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ class Method(Enum):
     STRAIGHT_LINE = "straight_line"
     DOUBLE_DECLINING = "double_declining"
     SUM_OF_YEARS = "sum_of_years"
+
+
+# double_declining_book_value's last (asset, log1p(-q) or None where q is 1)
+_last_decline = (None, None)
+# sum_of_years_book_value's last (asset, int(lifetime), digit sum)
+_last_digits = (None, 0, 0)
 
 
 def _as_period(value: float, name: str) -> int:
@@ -62,12 +72,17 @@ def double_declining_book_value(asset: AssetSpec, age: float) -> float:
     for all ages, where the power of the rounded base 1 - q carries that
     rounding age times (about age/2 ulps).
     """
+    global _last_decline
     life = asset.lifetime
     if not (0 <= age <= life and age % 1 == 0 == life % 1):
         _period_fault(asset, age)
-    q = min(2.0 / life, 1.0)
-    if q < 1.0:
-        return asset.cost * exp(age * log1p(-q))
+    last_asset, c = _last_decline
+    if last_asset is not asset:
+        q = min(2.0 / life, 1.0)
+        c = log1p(-q) if q < 1.0 else None
+        _last_decline = asset, c
+    if c is not None:
+        return asset.cost * exp(age * c)
     return asset.cost * 0.0**age  # cost at age 0, else 0.0: log1p(-1) has no value
 
 
@@ -76,11 +91,16 @@ def sum_of_years_book_value(asset: AssetSpec, age: float) -> float:
 
     Year j expenses cost * (l - j + 1) / S with S = l(l+1)/2.
     """
+    global _last_digits
     life = asset.lifetime
     if not (0 <= age <= life and age % 1 == 0 == life % 1):
         _period_fault(asset, age)
-    life, a = int(life), int(age)
-    digits = life * (life + 1) // 2
+    last_asset, life, digits = _last_digits
+    if last_asset is not asset:
+        life = int(asset.lifetime)
+        digits = life * (life + 1) // 2
+        _last_digits = asset, life, digits
+    a = int(age)
     used = a * life - a * (a - 1) // 2
     return asset.cost * ((digits - used) / digits)  # cost * (digits - used) can overflow
 

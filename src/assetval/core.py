@@ -174,8 +174,9 @@ def _require_positive_rate(rate: DiscountRate) -> float:
 # and its intermediates can be subnormal and lose the value.
 _STRAIGHT_LINE_BELOW = 2.0**-53
 
-# intrinsic_depreciation's last (asset, rate, span or NaN, g, E or 0.0, expm1(-span*g))
-_last_drop = (None, None, math.nan, 0.0, 0.0, 0.0)
+# intrinsic_depreciation's last (asset, rate, span or NaN, -cost, g, E or 0.0, expm1(-span*g));
+# double_declining_book_value and sum_of_years_book_value keep theirs the same way
+_last_drop = (None, None, math.nan, 0.0, 0.0, 0.0, 0.0)
 
 
 def _chain_cost(asset: AssetSpec, rate: DiscountRate, start: float, name: str) -> float:
@@ -325,9 +326,9 @@ def intrinsic_depreciation(
     rate 0. Computed as the drop itself, not as a difference of two values near
     cost, so short spans keep their relative precision.
 
-    g, E and expm1(-span*g) come from a one-entry memo when the last call had the same
-    asset and rate objects (immutable, so the floats are the ones this call would make,
-    bit for bit) and an equal span; a zero span is kept as NaN, so its sign is always
+    -cost, g, E and expm1(-span*g) come from a one-entry memo when the last call had the
+    same asset and rate objects (immutable, so the values are the ones this call would
+    make, bit for bit) and an equal span; a zero span is kept as NaN, so its sign is always
     recomputed. The memo is one tuple, replaced whole, so a thread reads one call's
     entry; it keeps the last asset and rate alive, and a new asset or rate pays one miss.
     """
@@ -338,16 +339,19 @@ def intrinsic_depreciation(
         check_age(asset, age_end, name="age_end")
         raise AgeOrderViolation(f"age_end ({age_end}) precedes age_start ({age_start})")
     span = age_end - age_start
-    last_asset, last_rate, last_span, g, e, s = _last_drop
+    last_asset, last_rate, last_span, c, g, e, s = _last_drop
     if last_asset is not asset or last_rate is not rate or last_span != span:
+        c = -asset.cost
         g = log1p(rate.rate)  # g and E as intrinsic_value computes them
         lg = life * g
         e = expm1(-lg) if lg >= _STRAIGHT_LINE_BELOW else 0.0
         s = expm1(-span * g)
-        _last_drop = asset, rate, span or math.nan, g, e, s
+        _last_drop = asset, rate, span or math.nan, c, g, e, s
     if e:
-        return -asset.cost * exp(-(life - age_end) * g) * s / e
-    return -asset.cost * (span / life)  # cost * span can overflow
+        # (age_end - life) is -(life - age_end) bit for bit, but for the sign of a
+        # zero, which exp(+-0.0) = 1 drops
+        return c * exp((age_end - life) * g) * s / e
+    return c * (span / life)  # cost * span can overflow
 
 
 def perpetuity_oracle(asset: AssetSpec, rate: DiscountRate, terms: int) -> float:

@@ -93,9 +93,11 @@ def build_schedule(
     ones from one intrinsic_depreciation(n - 1, n) call per period n and the
     value curve's books, classical ones from one book call per period and each
     book's drop. Each intrinsic call has the same asset, rate and span 1, so after
-    the first row intrinsic_depreciation takes g, E and expm1(-g) from its memo of
-    the last call, with the same bits: log1p(r) and those expm1 calls run once per
-    schedule, not once per row (a build in another thread can at most cost misses).
+    the first row intrinsic_depreciation takes -cost, g, E and expm1(-g) from its memo
+    of the last call, with the same bits: log1p(r) and those expm1 calls run once per
+    schedule, not once per row. Each classical call has the same asset, so the DDB
+    and SYD book functions take log1p(-q), or int(lifetime) and the digit sum, from
+    theirs (a build in another thread can at most cost misses).
     The benchmark's tracer counts those calls, so their functions
     are looked up at call time. Each row is tuple.__new__(ScheduleRow,
     (expense, book)), as _make makes it, built with the cyclic collector

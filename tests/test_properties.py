@@ -1,7 +1,8 @@
 """Properties checked with Hypothesis: the closed forms and schedules over
 wide input ranges, point valuations and classical book values bit for bit
 (or fault for fault) against the helper calls they were composed of,
-interleaved intrinsic_depreciation calls against its body without the memo,
+interleaved intrinsic_depreciation calls against its body without the memo
+and interleaved DDB and SYD calls against their composed forms,
 schedule rows bit for bit against a per-period loop, the value curve,
 rate_sweep and chord_gap bit for bit against the point path, the classical
 book curves against the book functions, compare's columns against the
@@ -541,6 +542,7 @@ _MEMO_ASSET, _MEMO_RATE = AssetSpec(100, 10), DiscountRate(0.2)
 @example([(_MEMO_ASSET, _MEMO_RATE, 0.0, -0.0), (_MEMO_ASSET, _MEMO_RATE, 3.0, 3.0)])
 @example([(_MEMO_ASSET, _MEMO_RATE, 1, 2), (_MEMO_ASSET, _MEMO_RATE, 5, 4),
           (_MEMO_ASSET, DiscountRate(0.05), 1, 2), (_MEMO_ASSET, _MEMO_RATE, 2, 3)])
+@example([(_MEMO_ASSET, _MEMO_RATE, 8.0, 9.0), (_MEMO_ASSET, _MEMO_RATE, 9.0, 10.0)])
 def test_depreciation_calls_equal_the_memo_free_body(calls):
     """However calls interleave assets, rates, spans and faults, each equals the
     memo-free body by float.hex or by fault."""
@@ -608,6 +610,17 @@ def book_outcome(book, asset, age):
     return float.hex(v)
 
 
+def composed_book_outcome(method, asset, age):
+    """book_outcome of the composed book function, where int(age) raised a bare
+    ValueError (NaN) or OverflowError (+-inf) before the range check replaced by
+    the range check's AgeOutOfRange, which the one-frame function raises."""
+    want = book_outcome(COMPOSED_BOOK[method], asset, age)
+    if want[0] in (ValueError, OverflowError):
+        assert not math.isfinite(age)
+        want = AgeOutOfRange, "age", f"age must lie in [0, {asset.lifetime}], got {age!r}"
+    return want
+
+
 @SETTINGS
 @given(book_inputs())
 @example((Method.DOUBLE_DECLINING, AssetSpec(100, 1), 1))
@@ -624,11 +637,59 @@ def test_book_values_equal_their_composed_forms(inputs):
     raised a bare ValueError (NaN) or OverflowError (+-inf) before the range
     check, the one-frame function raises the range check's AgeOutOfRange."""
     method, asset, age = inputs
-    want = book_outcome(COMPOSED_BOOK[method], asset, age)
-    if want[0] in (ValueError, OverflowError):
-        assert not math.isfinite(age)
-        want = AgeOutOfRange, "age", f"age must lie in [0, {asset.lifetime}], got {age!r}"
-    assert book_outcome(CLASSIC_BOOK[method], asset, age) == want
+    assert book_outcome(CLASSIC_BOOK[method], asset, age) == composed_book_outcome(
+        method, asset, age)
+
+
+@st.composite
+def book_calls(draw):
+    """A sequence of DDB and SYD calls, (method, asset, age), for their memos of
+    the last call's asset.
+
+    Two or three assets have whole lifetimes, int or float, with 1, 2 and 3
+    among them (DDB's factor q = 2/l at its cap of 1, or 2/3); their costs are
+    often equal, so only the lifetime tells them apart. Each call takes its
+    asset as the drawn object, as a new one with equal fields, or with a
+    fractional lifetime. Its age is whole (int or float), 0, -0.0, the
+    lifetime, or a fault: fractional, NaN, +-inf, negative or above the lifetime."""
+    lives = draw(st.lists(st.sampled_from([1, 2, 3, 1.0, 2.0, 3.0]) | st.integers(1, 600)
+                          | st.integers(1, 600).map(float), min_size=2, max_size=3))
+    assets = [AssetSpec(draw(st.sampled_from([100, 100.0, 1.7e308]) | costs), life) for life in lives]
+    calls = []
+    for _ in range(draw(st.integers(1, 16))):
+        asset = draw(st.sampled_from(assets))
+        pick = draw(st.integers(0, 5))
+        if pick == 0:
+            asset = AssetSpec(asset.cost, asset.lifetime)
+        elif pick == 1:
+            asset = AssetSpec(asset.cost, asset.lifetime + 0.5)
+        life = asset.lifetime
+        whole = st.integers(0, int(life))
+        age = draw(whole | whole.map(float)
+                   | st.sampled_from([0, 0.0, -0.0, life, float(life)])
+                   | st.sampled_from([0.5, life - 0.5, math.nan, math.inf, -math.inf, -1,
+                                      -5e-324, math.nextafter(life, math.inf), life + 1]))
+        calls.append((draw(st.sampled_from([Method.DOUBLE_DECLINING, Method.SUM_OF_YEARS])),
+                      asset, age))
+    return calls
+
+
+@SETTINGS
+@given(book_calls())
+@example([(Method.DOUBLE_DECLINING, AssetSpec(100, 10), 1),
+          (Method.DOUBLE_DECLINING, AssetSpec(100, 5), 1)])
+@example([(Method.SUM_OF_YEARS, AssetSpec(100, 3), 1), (Method.SUM_OF_YEARS, AssetSpec(100, 3.5), 1),
+          (Method.SUM_OF_YEARS, AssetSpec(100, 2.0), 1)])
+@example([(Method.DOUBLE_DECLINING, AssetSpec(100, 2), 1), (Method.DOUBLE_DECLINING, AssetSpec(100, 3), 1),
+          (Method.DOUBLE_DECLINING, AssetSpec(100, 1), math.nan),
+          (Method.DOUBLE_DECLINING, AssetSpec(100, 1), 1)])
+def test_book_calls_equal_their_composed_forms(calls):
+    """However DDB and SYD calls interleave assets, lifetimes and faults, each
+    equals its composed form as test_book_values_equal_their_composed_forms
+    checks one call: the memos change no value and no fault."""
+    for method, asset, age in calls:
+        assert book_outcome(CLASSIC_BOOK[method], asset, age) == composed_book_outcome(
+            method, asset, age)
 
 
 @SETTINGS

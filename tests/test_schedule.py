@@ -108,37 +108,49 @@ class TestBuildSchedule:
 
     def test_invariants_computed_once_per_schedule(self):
         """log1p(r), E and the one-period factor are computed once per schedule, not
-        once per row: intrinsic_depreciation keeps them from its last call. At 1,000
-        periods the per-row calls made 1,001 log1p and 3,001 expm1 calls."""
+        once per row: intrinsic_depreciation keeps them from its last call, and
+        double_declining_book_value keeps log1p(-q). At 1,000 periods the per-row
+        calls made 1,001 log1p and 3,001 expm1 calls for an intrinsic schedule, and
+        1,000 log1p calls for a DDB one."""
         periods = 1000
-        calls = {math.log1p: 0, math.expm1: 0}
 
-        def profile(frame, event, arg):
-            if event == "c_call" and arg in calls:
-                calls[arg] += 1
+        def count(method, rate=None):
+            calls = {math.log1p: 0, math.expm1: 0}
 
-        sys.setprofile(profile)
-        try:
-            build_schedule(AssetSpec(100, periods), Method.INTRINSIC, DiscountRate(0.05))
-        finally:
-            sys.setprofile(None)
+            def profile(frame, event, arg):
+                if event == "c_call" and arg in calls:
+                    calls[arg] += 1
+
+            sys.setprofile(profile)
+            try:
+                build_schedule(AssetSpec(100, periods), method, rate)
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        calls = count(Method.INTRINSIC, DiscountRate(0.05))
         # one log1p and one expm1 for the value curve's g and E, one expm1 per book;
         # one log1p and two expm1 for the first row's g, E and factor
         assert calls[math.log1p] <= 2
         assert calls[math.expm1] <= periods + 3
+        # one log1p(-q) for the first row's book
+        assert count(Method.DOUBLE_DECLINING)[math.log1p] <= 1
 
-    def test_threads_sharing_a_rate_build_the_same_rows(self):
+    @pytest.mark.parametrize("method", [Method.INTRINSIC, Method.DOUBLE_DECLINING,
+                                        Method.SUM_OF_YEARS])
+    def test_threads_sharing_a_rate_build_the_same_rows(self, method):
         """Two threads build schedules of different assets at one rate object, with a
         thread switch every microsecond, so their calls keep replacing each other's
-        intrinsic_depreciation memo entry; each still gets the rows of one thread."""
+        entry in the method's memo (intrinsic_depreciation's, or the DDB or SYD book
+        function's); each still gets the rows of one thread."""
         rate = DiscountRate(0.07)
         assets = [AssetSpec(100, 20_000), AssetSpec(2.5e3, 15_000.0)]
-        want = [build_schedule(asset, Method.INTRINSIC, rate).rows for asset in assets]
+        want = [build_schedule(asset, method, rate).rows for asset in assets]
         got = [[], []]
 
         def build(i):
             for _ in range(3):
-                got[i].append(build_schedule(assets[i], Method.INTRINSIC, rate).rows)
+                got[i].append(build_schedule(assets[i], method, rate).rows)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
